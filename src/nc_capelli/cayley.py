@@ -13,7 +13,7 @@ import time
 
 from . import matrixops as mo
 from . import weyl
-from .identities import VerificationReport, _bool_report, register
+from .identities import _bool_report, _residual_report, register
 from .ringapi import commutator
 from .scalars import Coefficient
 
@@ -250,19 +250,8 @@ def radial_identity(n, s):
     for k in range(n):
         b *= s + k
     rhs = (prod_lam ** (s - 1)).scale(b)
-    residual = lhs - rhs
-    zero = residual.is_zero()
-    return VerificationReport(
-        identityName="cayley.radial",
-        hostRing=ring.name,
-        sizeParams={"n": n, "s": s},
-        residualIsZero=zero,
-        residualRendering="" if zero else residual.render(),
-        lhsTermCount=len(lhs.terms),
-        rhsTermCount=len(rhs.terms),
-        wallMillis=int((time.monotonic() - t0) * 1000),
-        notes={"b_value": str(b)},
-    )
+    return _residual_report("cayley.radial", ring.name, {"n": n, "s": s},
+                            lhs, rhs, t0, notes={"b_value": str(b)})
 
 
 def radial_gl2_example():
@@ -289,17 +278,9 @@ def _sweep_report(name, n, s_values, compute, expected_poly, t0, table_kind):
         values.append((s, v))
         table.append({"n": n, "s": s, "quotient": v.render()})
     fitted = interpolate(values)
-    residual = fitted - expected_poly
-    zero = residual.is_zero()
-    return VerificationReport(
-        identityName=name,
-        hostRing="weyl",
-        sizeParams={"n": n, "sValues": list(s_values)},
-        residualIsZero=zero,
-        residualRendering="" if zero else residual.render(),
-        lhsTermCount=len(fitted.terms),
-        rhsTermCount=len(expected_poly.terms),
-        wallMillis=int((time.monotonic() - t0) * 1000),
+    return _residual_report(
+        name, "weyl", {"n": n, "sValues": list(s_values)},
+        fitted, expected_poly, t0,
         notes={"kind": table_kind, "bPolynomial": fitted.render(),
                "results": table},
     )

@@ -285,7 +285,12 @@ def main(argv=None):
     workers = args.workers
     if workers is None:
         env = os.environ.get("NC_CAPELLI_WORKERS")
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            print(f"error: NC_CAPELLI_WORKERS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return 2
     if workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import C_HALF, C_I_QUARTER, C_QUARTER, Coefficient
-
-# -1/(2i) * ... : Im(m) = (m - bar m)/(2i) = (m - bar m) * (-i/2)
-_MINUS_I_HALF = Coefficient.from_rational(-1, 2) * Coefficient.i()
+from .ringapi import im_part, re_part
+from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
 
 
 class RingMatrix:
@@ -168,14 +166,6 @@ def coldet_laplace(M):
         return acc
 
     return minor(tuple(range(n)))
-
-
-def re_part(m):
-    return (m + m.bar()).scale(C_HALF)
-
-
-def im_part(m):
-    return (m - m.bar()).scale(_MINUS_I_HALF)
 
 
 def decomplexify(M):

@@ -9,7 +9,7 @@ straightening of shared words memoized per algebra.
 
 from __future__ import annotations
 
-from .ringapi import Ring
+from .ringapi import Ring, SparseElement, accumulate
 from .scalars import Coefficient
 
 C_ONE = Coefficient.one()
@@ -51,13 +51,7 @@ class LieAlgebraSpec:
         """[x, e_v] for x a dict index -> Coefficient (degree-1 element)."""
         out = {}
         for u, cu in x.items():
-            for w, cw in self.bracket(u, v).items():
-                cur = out.get(w)
-                s = cu * cw if cur is None else cur + cu * cw
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            accumulate(out, ((w, cu * cw) for w, cw in self.bracket(u, v).items()))
         return out
 
     def check_jacobi(self):
@@ -72,13 +66,7 @@ class LieAlgebraSpec:
                         self._bracket_elem(self.bracket(j, k), i),
                         self._bracket_elem(self.bracket(k, i), j),
                     ):
-                        for w, c in part.items():
-                            cur = acc.get(w)
-                            s = c if cur is None else cur + c
-                            if s.is_zero():
-                                acc.pop(w, None)
-                            else:
-                                acc[w] = s
+                        accumulate(acc, part.items())
                     if acc:
                         names = (self.basis[i], self.basis[j], self.basis[k])
                         raise ValueError(f"Jacobi identity fails at {names}")
@@ -106,16 +94,8 @@ class LieAlgebraSpec:
             u, v = word[pos], word[pos + 1]
             result = dict(self.straighten(word[:pos] + (v, u) + word[pos + 2:]))
             for w, c in self.bracket(u, v).items():
-                for exp, c2 in self.straighten(
-                    word[:pos] + (w,) + word[pos + 2:]
-                ).items():
-                    p = c * c2
-                    cur = result.get(exp)
-                    s = p if cur is None else cur + p
-                    if s.is_zero():
-                        result.pop(exp, None)
-                    else:
-                        result[exp] = s
+                sub = self.straighten(word[:pos] + (w,) + word[pos + 2:])
+                accumulate(result, ((exp, c * c2) for exp, c2 in sub.items()))
         self._memo[word] = result
         return result
 
@@ -149,7 +129,7 @@ class LieAlgebraSpec:
         )
 
 
-class PbwElement:
+class PbwElement(SparseElement):
     """Sparse sum of PBW monomials (exponent vectors) over a spec."""
 
     __slots__ = ("spec", "terms")
@@ -164,62 +144,24 @@ class PbwElement:
             out.extend([g] * e)
         return tuple(out)
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = terms.get(m)
-            if cur is None:
-                terms[m] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
+    def _new(self, terms):
         return PbwElement(self.spec, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PbwElement(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        terms = {}
-        for m, cur in self.terms.items():
-            p = cur * c
-            if not p.is_zero():
-                terms[m] = p
-        return PbwElement(self.spec, terms)
+    def _one(self):
+        return self.spec.one()
 
     def __mul__(self, other):
         spec = self.spec
-        out = {}
-        for m1, c1 in self.terms.items():
-            w1 = self._word(m1)
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for exp, f in spec.straighten(w1 + self._word(m2)).items():
-                    p = c * f
-                    cur = out.get(exp)
-                    if cur is None:
-                        if not p.is_zero():
-                            out[exp] = p
-                    else:
-                        s = cur + p
-                        if s.is_zero():
-                            del out[exp]
-                        else:
-                            out[exp] = s
-        return PbwElement(spec, out)
 
-    def __pow__(self, n):
-        result = self.spec.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        def products():
+            for m1, c1 in self.terms.items():
+                w1 = self._word(m1)
+                for m2, c2 in other.terms.items():
+                    c = c1 * c2
+                    for exp, f in spec.straighten(w1 + self._word(m2)).items():
+                        yield exp, c * f
+
+        return PbwElement(spec, accumulate({}, products()))
 
     def bar(self):
         if self.spec.bar_map is None:
@@ -231,9 +173,6 @@ class PbwElement:
                 exp[self.spec.bar_map[g]] = e
             terms[tuple(exp)] = c.bar()
         return PbwElement(self.spec, terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -250,40 +189,13 @@ class PbwElement:
                 out.setdefault(e, {})[m] = part
         return {e: PbwElement(self.spec, t) for e, t in out.items()}
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        spec = self.spec
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m), reverse=True):
-            c = self.terms[m]
-            factors = []
-            for g, e in enumerate(m):
-                if e:
-                    name = spec.basis[g]
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mtxt = "*".join(factors)
-            ctxt = c.render()
-            if not mtxt:
-                parts.append(ctxt)
-            elif ctxt == "1":
-                parts.append(mtxt)
-            elif ctxt == "-1":
-                parts.append("-" + mtxt)
-            elif ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or " " in ctxt:
-                parts.append(f"({ctxt})*{mtxt}")
-            else:
-                parts.append(f"{ctxt}*{mtxt}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - " + part[1:]
-            else:
-                text += " + " + part
-        return text
+    def _render_order(self):
+        return sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
 
-    def __repr__(self):
-        return f"<PbwElement {self.render()}>"
+    def _render_monomial(self, mono):
+        basis = self.spec.basis
+        return "*".join(basis[g] if e == 1 else f"{basis[g]}^{e}"
+                        for g, e in enumerate(mono) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +296,6 @@ def hc_projection(x):
         if keep:
             out = out + term
     return out
-
-
-hc_eigenvalue = hc_projection
 
 
 def is_central(x):

@@ -249,6 +249,8 @@ class Coefficient:
         return Coefficient(terms)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         result = Coefficient.one()
         for _ in range(n):
             result = result * self

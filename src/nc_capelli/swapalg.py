@@ -13,7 +13,7 @@ confluence self-test runs at table construction on all letter triples.
 
 from __future__ import annotations
 
-from .ringapi import Ring
+from .ringapi import Ring, SparseElement, accumulate, im_part, re_part
 from .scalars import (
     C_HALF,
     C_I,
@@ -106,24 +106,8 @@ class SwapTable:
 
     def _normalize(self, word):
         for pos in range(len(word) - 1):
-            rule = self.rules.get((word[pos], word[pos + 1]))
-            if rule is None:
-                continue
-            out = {}
-            for coeff, repl in rule:
-                sub = self.normalize(word[:pos] + repl + word[pos + 2:])
-                for w, c in sub.items():
-                    p = coeff * c
-                    cur = out.get(w)
-                    if cur is None:
-                        out[w] = p
-                    else:
-                        s = cur + p
-                        if s.is_zero():
-                            del out[w]
-                        else:
-                            out[w] = s
-            return out
+            if (word[pos], word[pos + 1]) in self.rules:
+                return self._reduce_once(word, pos)
         return {word: C_ONE}
 
     def check_confluence(self):
@@ -146,20 +130,11 @@ class SwapTable:
                         )
 
     def _reduce_once(self, word, pos):
-        rule = self.rules[(word[pos], word[pos + 1])]
+        """Apply the rule at ``pos`` once, then normalize each result."""
         out = {}
-        for coeff, repl in rule:
-            for w, c in self.normalize(word[:pos] + repl + word[pos + 2:]).items():
-                p = coeff * c
-                cur = out.get(w)
-                if cur is None:
-                    out[w] = p
-                else:
-                    s = cur + p
-                    if s.is_zero():
-                        del out[w]
-                    else:
-                        out[w] = s
+        for coeff, repl in self.rules[(word[pos], word[pos + 1])]:
+            sub = self.normalize(word[:pos] + repl + word[pos + 2:])
+            accumulate(out, ((w, coeff * c) for w, c in sub.items()))
         return out
 
     def render_word(self, word):
@@ -191,7 +166,7 @@ class SwapTable:
         )
 
 
-class SwapElement:
+class SwapElement(SparseElement):
     """Sparse sum of canonical words with Coefficient coefficients."""
 
     __slots__ = ("table", "terms")
@@ -200,61 +175,23 @@ class SwapElement:
         self.table = table
         self.terms = terms
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            if cur is None:
-                terms[w] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del terms[w]
-                else:
-                    terms[w] = s
+    def _new(self, terms):
         return SwapElement(self.table, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SwapElement(self.table, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        terms = {}
-        for w, cur in self.terms.items():
-            p = cur * c
-            if not p.is_zero():
-                terms[w] = p
-        return SwapElement(self.table, terms)
+    def _one(self):
+        return self.table.one()
 
     def __mul__(self, other):
         table = self.table
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                for w, f in table.normalize(w1 + w2).items():
-                    p = c * f
-                    cur = out.get(w)
-                    if cur is None:
-                        if not p.is_zero():
-                            out[w] = p
-                    else:
-                        s = cur + p
-                        if s.is_zero():
-                            del out[w]
-                        else:
-                            out[w] = s
-        return SwapElement(table, out)
 
-    def __pow__(self, n):
-        result = self.table.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        def products():
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    c = c1 * c2
+                    for w, f in table.normalize(w1 + w2).items():
+                        yield w, c * f
+
+        return SwapElement(table, accumulate({}, products()))
 
     def bar(self):
         table = self.table
@@ -266,9 +203,6 @@ class SwapElement:
             )
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return (
             isinstance(other, SwapElement)
@@ -276,35 +210,11 @@ class SwapElement:
             and self.terms == other.terms
         )
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        table = self.table
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            wtxt = table.render_word(w) if w else ""
-            ctxt = c.render()
-            if not wtxt:
-                parts.append(ctxt)
-            elif ctxt == "1":
-                parts.append(wtxt)
-            elif ctxt == "-1":
-                parts.append("-" + wtxt)
-            elif ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or " " in ctxt:
-                parts.append(f"({ctxt})*{wtxt}")
-            else:
-                parts.append(f"{ctxt}*{wtxt}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - " + part[1:]
-            else:
-                text += " + " + part
-        return text
+    def _render_order(self):
+        return sorted(self.terms, key=lambda w: (len(w), w))
 
-    def __repr__(self):
-        return f"<SwapElement {self.render()}>"
+    def _render_monomial(self, word):
+        return self.table.render_word(word) if word else ""
 
 
 def bigrade_project(x, hol_degree, antihol_degree):
@@ -327,14 +237,6 @@ def bigrades(x):
         nb = sum(1 for k in w if k in barred)
         out.add((len(w) - nb, nb))
     return out
-
-
-def re_part(x):
-    return (x + x.bar()).scale(C_HALF)
-
-
-def im_part(x):
-    return (x - x.bar()).scale(C_INV_2I)
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +447,18 @@ class ExteriorAlgebra:
         return (1 << self.m) - 1
 
 
-class ExteriorElement:
+class ExteriorElement(SparseElement):
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for mask, h in other.terms.items():
-            cur = terms.get(mask)
-            if cur is None:
-                terms[mask] = h
-            else:
-                s = cur + h
-                if s.is_zero():
-                    del terms[mask]
-                else:
-                    terms[mask] = s
+    def _new(self, terms):
         return ExteriorElement(self.alg, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExteriorElement(self.alg, {m: -h for m, h in self.terms.items()})
+    def _one(self):
+        return self.alg.one()
 
     def scale(self, c):
         terms = {}
@@ -581,29 +469,14 @@ class ExteriorElement:
         return ExteriorElement(self.alg, terms)
 
     def __mul__(self, other):
-        out = {}
-        for m1, h1 in self.terms.items():
-            for m2, h2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                h = h1 * h2
-                if _wedge_sign(m1, m2) < 0:
-                    h = -h
-                mask = m1 | m2
-                cur = out.get(mask)
-                if cur is None:
-                    if not h.is_zero():
-                        out[mask] = h
-                else:
-                    s = cur + h
-                    if s.is_zero():
-                        del out[mask]
-                    else:
-                        out[mask] = s
-        return ExteriorElement(self.alg, out)
+        def products():
+            for m1, h1 in self.terms.items():
+                for m2, h2 in other.terms.items():
+                    if not m1 & m2:
+                        h = h1 * h2
+                        yield m1 | m2, (h if _wedge_sign(m1, m2) > 0 else -h)
 
-    def is_zero(self):
-        return not self.terms
+        return ExteriorElement(self.alg, accumulate({}, products()))
 
     def __eq__(self, other):
         return (
@@ -614,6 +487,12 @@ class ExteriorElement:
 
     def coefficient(self, mask):
         return self.terms.get(mask, self.alg.host.zero)
+
+    def _render_order(self):
+        return sorted(self.terms, key=lambda mask: (bin(mask).count("1"), mask))
+
+    def _render_monomial(self, mask):
+        return "*".join(f"psi{i}" for i in range(self.alg.m) if mask >> i & 1)
 
     def __repr__(self):
         bits = {m: h for m, h in self.terms.items()}

@@ -11,9 +11,10 @@ holomorphic and antiholomorphic elements then hold automatically.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import product
+from math import comb, perm
 
-from .ringapi import Ring
+from .ringapi import Ring, SparseElement, accumulate
 from .scalars import C_HALF, C_I, Coefficient, GaussianRational
 
 
@@ -22,23 +23,14 @@ class NotDivisible(Exception):
 
 
 class GeneratorSet:
-    """Ordered, immutable set of variable names.
+    """Ordered, immutable set of variable names."""
 
-    Names listed in ``laurent`` may carry negative exponents (a Laurent
-    variable t with d_t * t^m = m*t^(m-1) + t^m*d_t for all integer m).
-    This is unused by the identity suite but costs nothing to support.
-    """
-
-    def __init__(self, names, laurent=()):
+    def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         self.names = names
         self.index = {name: k for k, name in enumerate(names)}
-        self.laurent = frozenset(laurent)
-        for name in self.laurent:
-            if name not in self.index:
-                raise ValueError(f"laurent name {name!r} not a generator")
         self.n = len(names)
         self._zero_exp = (0,) * self.n
 
@@ -46,20 +38,17 @@ class GeneratorSet:
         return self.n
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GeneratorSet)
-            and self.names == other.names
-            and self.laurent == other.laurent
-        )
+        return isinstance(other, GeneratorSet) and self.names == other.names
 
     def __hash__(self):
-        return hash((self.names, self.laurent))
+        return hash(self.names)
 
     def __repr__(self):
         return f"GeneratorSet({list(self.names)})"
 
 
 _INT_COEFF_CACHE = {}
+_INT_GAUSS_CACHE = {}
 
 
 def _int_coeff(n):
@@ -70,15 +59,15 @@ def _int_coeff(n):
     return c
 
 
-def _falling(m, k):
-    """Falling factorial m*(m-1)*...*(m-k+1); valid for negative m too."""
-    out = 1
-    for j in range(k):
-        out *= m - j
-    return out
+def _int_gauss(n):
+    g = _INT_GAUSS_CACHE.get(n)
+    if g is None:
+        g = GaussianRational(n)
+        _INT_GAUSS_CACHE[n] = g
+    return g
 
 
-class WeylElement:
+class WeylElement(SparseElement):
     """Sparse normal-ordered sum: dict (varExp, derExp) -> Coefficient."""
 
     __slots__ = ("gens", "terms")
@@ -117,65 +106,23 @@ class WeylElement:
             return WeylElement(gens, {})
         return WeylElement(gens, {(gens._zero_exp, gens._zero_exp): c})
 
-    # --- basic ring ops ----------------------------------------------
+    def _new(self, terms):
+        return WeylElement(self.gens, terms)
+
+    def _one(self):
+        return WeylElement.one(self.gens)
+
+    # --- ring ops -----------------------------------------------------
 
     def _require_same(self, other):
         if self.gens is not other.gens and self.gens != other.gens:
             raise ValueError("elements from different generator sets")
-
-    def __add__(self, other):
-        self._require_same(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return WeylElement(self.gens, terms)
-
-    def __sub__(self, other):
-        self._require_same(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = -c
-            else:
-                s = cur - c
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return WeylElement(self.gens, terms)
-
-    def __neg__(self):
-        return WeylElement(self.gens, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        if c.is_zero():
-            return WeylElement(self.gens, {})
-        terms = {}
-        for mono, cur in self.terms.items():
-            p = cur * c
-            if not p.is_zero():
-                terms[mono] = p
-        return WeylElement(self.gens, terms)
 
     def bar(self):
         """Conjugation: generators are real, so bar acts on coefficients."""
         return WeylElement(
             self.gens, {m: c.bar() for m, c in self.terms.items()}
         )
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -187,101 +134,21 @@ class WeylElement:
     def __hash__(self):
         return hash((self.gens, frozenset(self.terms.keys())))
 
-    # --- multiplication ----------------------------------------------
-
     def __mul__(self, other):
-        """Normal-ordered product, expanding term by term with immediate
-        renormalization and zero pruning.
-
-        Left terms whose derivative part is empty or a single first-order
-        d_g take a direct two-branch Leibniz step; everything else goes
-        through the general _reorder expansion.
-        """
+        """Normal-ordered product (see _mul_kernel).  When every
+        coefficient is parameter-free the kernel runs on the bare
+        GaussianRational values."""
         self._require_same(other)
         gens = self.gens
-        if not gens.laurent:
-            g1 = _const_values(self.terms)
-            if g1 is not None:
-                g2 = _const_values(other.terms)
-                if g2 is not None:
-                    return WeylElement(gens, _mul_const(gens, g1, g2))
-        out = {}
-        laurent_free = not gens.laurent
-        for (v1, u1), c1 in self.terms.items():
-            vsup = [(g, e) for g, e in enumerate(v1) if e]
-            dsup = [(g, e) for g, e in enumerate(u1) if e]
-            if laurent_free and (not dsup or (len(dsup) == 1 and dsup[0][1] == 1)):
-                dg = dsup[0][0] if dsup else -1
-                for (v2, u2), c2 in other.terms.items():
-                    c = c1 * c2
-                    if vsup:
-                        lv = list(v2)
-                        for g, e in vsup:
-                            lv[g] += e
-                        vsum = tuple(lv)
-                    else:
-                        vsum = v2
-                    if dg >= 0:
-                        lu = list(u2)
-                        lu[dg] += 1
-                        mono = (vsum, tuple(lu))
-                    else:
-                        mono = (vsum, u2)
-                    cur = out.get(mono)
-                    if cur is None:
-                        if c.terms:
-                            out[mono] = c
-                    else:
-                        s = cur + c
-                        if s.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = s
-                    if dg >= 0:
-                        b = v2[dg]
-                        if b:
-                            lv = list(v2)
-                            lv[dg] -= 1
-                            for g, e in vsup:
-                                lv[g] += e
-                            mono = (tuple(lv), u2)
-                            cc = c * _int_coeff(b)
-                            cur = out.get(mono)
-                            if cur is None:
-                                if cc.terms:
-                                    out[mono] = cc
-                            else:
-                                s = cur + cc
-                                if s.is_zero():
-                                    del out[mono]
-                                else:
-                                    out[mono] = s
-                continue
-            for (v2, u2), c2 in other.terms.items():
-                c = c1 * c2
-                for (kv, factor) in _reorder(gens, u1, v2):
-                    mono = (
-                        tuple(a + b - k for a, b, k in zip(v1, v2, kv)),
-                        tuple(a + b - k for a, b, k in zip(u1, u2, kv)),
-                    )
-                    cc = c if factor == 1 else c * Coefficient.from_rational(factor)
-                    cur = out.get(mono)
-                    if cur is None:
-                        if not cc.is_zero():
-                            out[mono] = cc
-                    else:
-                        s = cur + cc
-                        if s.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = s
-        return WeylElement(gens, out)
-
-    def __pow__(self, n):
-        result = WeylElement.one(self.gens)
-        for _ in range(n):
-            result = result * self
-        return result
+        g1 = _const_values(self.terms)
+        if g1 is not None:
+            g2 = _const_values(other.terms)
+            if g2 is not None:
+                out = _mul_kernel(gens, g1, g2, _int_gauss)
+                return WeylElement(
+                    gens, {m: Coefficient({(): g}) for m, g in out.items()})
+        return WeylElement(
+            gens, _mul_kernel(gens, self.terms, other.terms, _int_coeff))
 
     # --- polynomial-specific operations ------------------------------
 
@@ -294,77 +161,45 @@ class WeylElement:
         self._require_same(p)
         if not p.is_polynomial():
             raise ValueError("apply target must be a polynomial")
-        gens = self.gens
-        zero = gens._zero_exp
-        out = {}
-        for (vop, uop), cop in self.terms.items():
-            for (vp, _), cp in p.terms.items():
+        zero = self.gens._zero_exp
+        pitems = [(vp, cp) for (vp, _), cp in p.terms.items()]
+
+        def products(vop, uop, cop):
+            for vp, cp in pitems:
+                # d^a x^b = a! C(b, a) x^(b-a) on polynomials
                 factor = 1
-                for a, b, lau in zip(uop, vp, (g in gens.laurent for g in gens.names)):
-                    if a == 0:
-                        continue
-                    if b >= 0 and a > b and not lau:
-                        factor = 0
-                        break
-                    factor *= _falling(b, a)
-                if factor == 0:
+                for a, b in zip(uop, vp):
+                    if a:
+                        factor *= perm(b, a)
+                        if not factor:
+                            break
+                if not factor:
                     continue
                 mono = (tuple(a + b - k for a, b, k in zip(vop, vp, uop)), zero)
                 cc = cop * cp
-                if factor != 1:
-                    cc = cc * Coefficient.from_rational(factor)
-                cur = out.get(mono)
-                if cur is None:
-                    if not cc.is_zero():
-                        out[mono] = cc
-                else:
-                    s = cur + cc
-                    if s.is_zero():
-                        del out[mono]
-                    else:
-                        out[mono] = s
-        return WeylElement(gens, out)
+                yield mono, (cc if factor == 1 else cc * _int_coeff(factor))
+
+        out = {}
+        for (vop, uop), cop in self.terms.items():
+            accumulate(out, products(vop, uop, cop))
+        return WeylElement(self.gens, out)
 
     # --- rendering ----------------------------------------------------
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        gens = self.gens
-        parts = []
-        for (v, u) in sorted(
-            self.terms, key=lambda m: (sum(m[0]) + sum(m[1]), m[0], m[1]), reverse=True
-        ):
-            c = self.terms[(v, u)]
-            factors = []
-            for name, e in zip(gens.names, v):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            for name, e in zip(gens.names, u):
-                if e:
-                    factors.append(f"d{name}" if e == 1 else f"d{name}^{e}")
-            mtxt = "*".join(factors)
-            ctxt = c.render()
-            if not mtxt:
-                parts.append(ctxt)
-            elif ctxt == "1":
-                parts.append(mtxt)
-            elif ctxt == "-1":
-                parts.append("-" + mtxt)
-            elif ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or " " in ctxt:
-                parts.append(f"({ctxt})*{mtxt}")
-            else:
-                parts.append(f"{ctxt}*{mtxt}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - " + part[1:]
-            else:
-                text += " + " + part
-        return text
+    def _render_order(self):
+        return sorted(
+            self.terms, key=lambda m: (sum(m[0]) + sum(m[1]), m[0], m[1]),
+            reverse=True,
+        )
 
-    def __repr__(self):
-        return f"<WeylElement {self.render()}>"
+    def _render_monomial(self, mono):
+        v, u = mono
+        names = self.gens.names
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(names, v) if e]
+        factors += [f"d{name}" if e == 1 else f"d{name}^{e}"
+                    for name, e in zip(names, u) if e]
+        return "*".join(factors)
 
 
 def _reorder(gens, u, v):
@@ -374,40 +209,19 @@ def _reorder(gens, u, v):
     d^u x^v = sum_k factor * x^(v-k) d^(u-k), per-generator Leibniz:
     d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k).
     """
-    hot = [
-        g
+    choices = [
+        [(g, k, comb(u[g], k) * perm(v[g], k))
+         for k in range(min(u[g], v[g]) + 1)]
         for g in range(gens.n)
-        if u[g] and (v[g] > 0 or gens.names[g] in gens.laurent)
+        if u[g] and v[g]
     ]
-    if not hot:
-        yield (gens._zero_exp, 1)
-        return
-    choices = []
-    for g in hot:
-        a, b = u[g], v[g]
-        kmax = a if gens.names[g] in gens.laurent and b < 0 else min(a, b)
-        opts = []
-        for k in range(kmax + 1):
-            if b >= 0:
-                f = comb(a, k) * comb(b, k)
-                for j in range(2, k + 1):
-                    f *= j
-            else:
-                f = comb(a, k) * _falling(b, k)
-            opts.append((k, f))
-        choices.append((g, opts))
-
-    def rec(idx, kacc, facc):
-        if idx == len(choices):
-            yield (tuple(kacc), facc)
-            return
-        g, opts = choices[idx]
-        for k, f in opts:
-            kacc[g] = k
-            yield from rec(idx + 1, kacc, facc * f)
-        kacc[g] = 0
-
-    yield from rec(0, list(gens._zero_exp), 1)
+    for picks in product(*choices):
+        kv = list(gens._zero_exp)
+        factor = 1
+        for g, k, f in picks:
+            kv[g] = k
+            factor *= f
+        yield tuple(kv), factor
 
 
 def _const_values(terms):
@@ -425,18 +239,24 @@ def _const_values(terms):
     return out
 
 
-def _mul_const(gens, left, right):
-    """Product kernel for parameter-free coefficients, working directly
-    on GaussianRational values; mirrors __mul__ exactly."""
-    out = {}
+def _mul_kernel(gens, left, right, as_int):
+    """Normal-ordered product of two {(varExp, derExp): value} dicts.
+
+    Values need only ``+``, ``*`` and ``is_zero()``; ``as_int(b)`` is the
+    integer b as a value of the same type.  Left terms whose derivative
+    part is empty or a single first-order d_g take a direct two-branch
+    Leibniz step; everything else goes through the general _reorder
+    expansion.
+    """
     ritems = list(right.items())
-    for (v1, u1), g1 in left.items():
+
+    def products(v1, u1, c1):
         vsup = [(g, e) for g, e in enumerate(v1) if e]
         dsup = [(g, e) for g, e in enumerate(u1) if e]
         if not dsup or (len(dsup) == 1 and dsup[0][1] == 1):
             dg = dsup[0][0] if dsup else -1
-            for (v2, u2), g2 in ritems:
-                gg = g1 * g2
+            for (v2, u2), c2 in ritems:
+                c = c1 * c2
                 if vsup:
                     lv = list(v2)
                     for g, e in vsup:
@@ -444,59 +264,33 @@ def _mul_const(gens, left, right):
                     vsum = tuple(lv)
                 else:
                     vsum = v2
-                if dg >= 0:
-                    lu = list(u2)
-                    lu[dg] += 1
-                    mono = (vsum, tuple(lu))
-                else:
-                    mono = (vsum, u2)
-                cur = out.get(mono)
-                if cur is None:
-                    out[mono] = gg
-                else:
-                    s = cur + gg
-                    if s.re or s.im:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-                if dg >= 0:
-                    b = v2[dg]
-                    if b:
-                        lv = list(v2)
-                        lv[dg] -= 1
-                        for g, e in vsup:
-                            lv[g] += e
-                        mono = (tuple(lv), u2)
-                        gb = GaussianRational._make(gg.re * b, gg.im * b)
-                        cur = out.get(mono)
-                        if cur is None:
-                            out[mono] = gb
-                        else:
-                            s = cur + gb
-                            if s.re or s.im:
-                                out[mono] = s
-                            else:
-                                del out[mono]
-            continue
-        for (v2, u2), g2 in ritems:
-            gg = g1 * g2
-            for (kv, factor) in _reorder(gens, u1, v2):
+                if dg < 0:
+                    yield (vsum, u2), c
+                    continue
+                lu = list(u2)
+                lu[dg] += 1
+                yield (vsum, tuple(lu)), c
+                b = v2[dg]
+                if b:
+                    lv = list(v2)
+                    lv[dg] -= 1
+                    for g, e in vsup:
+                        lv[g] += e
+                    yield (tuple(lv), u2), c * as_int(b)
+            return
+        for (v2, u2), c2 in ritems:
+            c = c1 * c2
+            for kv, factor in _reorder(gens, u1, v2):
                 mono = (
                     tuple(a + b - k for a, b, k in zip(v1, v2, kv)),
                     tuple(a + b - k for a, b, k in zip(u1, u2, kv)),
                 )
-                gf = gg if factor == 1 else GaussianRational._make(
-                    gg.re * factor, gg.im * factor)
-                cur = out.get(mono)
-                if cur is None:
-                    out[mono] = gf
-                else:
-                    s = cur + gf
-                    if s.re or s.im:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-    return {m: Coefficient({(): g}) for m, g in out.items()}
+                yield mono, (c if factor == 1 else c * as_int(factor))
+
+    out = {}
+    for (v1, u1), c1 in left.items():
+        accumulate(out, products(v1, u1, c1))
+    return out
 
 
 def complex_pair(gens, base):

@@ -118,3 +118,10 @@ class TestReportRoundTrip:
         for raw in payload["reports"]:
             report = VerificationReport.from_dict(raw)
             assert report.to_dict() == raw
+
+
+def test_bad_worker_env_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("NC_CAPELLI_WORKERS", "abc")
+    code, _, err = run_cli(["run", "--suite", "capelli.plain"], capsys)
+    assert code == 2
+    assert "NC_CAPELLI_WORKERS" in err
