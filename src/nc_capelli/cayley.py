@@ -13,7 +13,7 @@ import time
 
 from . import matrixops as mo
 from . import weyl
-from .identities import _bool_report, _residual_report, register
+from .identities import bool_report, classical_weyl, complex_weyl, residual_report
 from .ringapi import commutator
 from .scalars import Coefficient
 
@@ -64,55 +64,20 @@ def _quotient(det_d, det_z, s):
 # Classical and decomplexified
 # ---------------------------------------------------------------------------
 
-def _classical_pair(n):
-    names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    gens = weyl.GeneratorSet(names)
-    ring = weyl.weyl_ring(gens)
-    X = mo.matrix(
-        ring,
-        [[weyl.WeylElement.variable(gens, f"x{i}{j}") for j in range(1, n + 1)]
-         for i in range(1, n + 1)],
-    )
-    # the derivative matrix is indexed transposed; det is unaffected
-    P = mo.matrix(
-        ring,
-        [[weyl.WeylElement.derivative(gens, f"x{j}{i}") for j in range(1, n + 1)]
-         for i in range(1, n + 1)],
-    )
-    return ring, X, P
-
-
 def cayley_scalar(n, s):
     """det(d/dx) det(X)^s = b(s) det(X)^(s-1); returns b(s) for one
     integer s >= 1."""
     if s < 1:
         raise ValueError("s must be a positive integer")
-    ring, X, P = _classical_pair(n)
-    return _quotient(mo.coldet(P), mo.coldet(X), s)
-
-
-def _decomplexified_pair(n):
-    names = [f"{c}{i}{j}" for c in "xy"
-             for i in range(1, n + 1) for j in range(1, n + 1)]
-    gens = weyl.GeneratorSet(names)
-    ring = weyl.weyl_ring(gens)
-    Z, D = [], []
-    for i in range(1, n + 1):
-        zr, dr = [], []
-        for j in range(1, n + 1):
-            z, d = weyl.complex_pair(gens, f"{i}{j}")
-            zr.append(z)
-            dr.append(d)
-        Z.append(zr)
-        D.append(dr)
-    return ring, mo.matrix(ring, Z), mo.matrix(ring, D)
+    _, _, X, D = classical_weyl(n)
+    return _quotient(mo.coldet(D), mo.coldet(X), s)
 
 
 def cayley_decomplexified(n, s):
     """det(D^R) det(Z^R)^s = b(s)^2 det(Z^R)^(s-1); returns b(s)^2."""
     if s < 1:
         raise ValueError("s must be a positive integer")
-    ring, Z, D = _decomplexified_pair(n)
+    _, _, Z, D = complex_weyl(n)
     return _quotient(
         mo.coldet(mo.decomplexify(D)), mo.coldet(mo.decomplexify(Z)), s
     )
@@ -172,7 +137,7 @@ def quaternion_commutation_check(n):
                     got = commutator(Dt.entries[r][s].scale(2), Z.entries[u][v])
                     if not (got - want).is_zero():
                         ok = False
-    return _bool_report(
+    return bool_report(
         "cayley.quaternion-commutation", ring.name, {"n": n}, ok, t0,
         detail="" if ok else "canonical relations violated",
         notes={"ordering": "operator-first commutator"},
@@ -250,8 +215,8 @@ def radial_identity(n, s):
     for k in range(n):
         b *= s + k
     rhs = (prod_lam ** (s - 1)).scale(b)
-    return _residual_report("cayley.radial", ring.name, {"n": n, "s": s},
-                            lhs, rhs, t0, notes={"b_value": str(b)})
+    return residual_report("cayley.radial", ring.name, {"n": n, "s": s},
+                           lhs, rhs, t0, notes={"b_value": str(b)})
 
 
 def radial_gl2_example():
@@ -263,6 +228,18 @@ def radial_gl2_example():
         weyl.WeylElement.derivative(gens, "l2")
     V = l1 - l2
     return _constant_of(weyl.exact_divide(op.apply(V * (l1 + l2)), V))
+
+
+def radial_gl2_report():
+    """radial_gl2_example as a report: the constant must be 2."""
+    t0 = time.monotonic()
+    gl2 = radial_gl2_example()
+    ok = (gl2 - Coefficient.from_rational(2)).is_zero()
+    return bool_report(
+        "cayley.radial.gl2-example", "weyl(l1,l2)", {"n": 2}, ok, t0,
+        detail="" if ok else f"got {gl2.render()}",
+        notes={"value": gl2.render()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +255,7 @@ def _sweep_report(name, n, s_values, compute, expected_poly, t0, table_kind):
         values.append((s, v))
         table.append({"n": n, "s": s, "quotient": v.render()})
     fitted = interpolate(values)
-    return _residual_report(
+    return residual_report(
         name, "weyl", {"n": n, "sValues": list(s_values)},
         fitted, expected_poly, t0,
         notes={"kind": table_kind, "bPolynomial": fitted.render(),
@@ -314,40 +291,3 @@ def verify_cayley_quaternion(kind, n, s_values=None):
         lambda s: cayley_quaternion(kind, n, s),
         quaternion_expected(kind, n), t0, kind,
     )
-
-
-@register("cayley.scalar")
-def _run_cayley_scalar(config):
-    cap = 4 if config.get("extended") else 3
-    return [verify_cayley_scalar(n)
-            for n in range(1, min(config.get("max_n", 2) + 2, cap) + 1)]
-
-
-@register("cayley.decomplexified")
-def _run_cayley_decomplexified(config):
-    return [verify_cayley_decomplexified(n)
-            for n in range(1, min(config.get("max_n", 2), 2) + 1)]
-
-
-@register("cayley.quaternion")
-def _run_cayley_quaternion(config):
-    out = [quaternion_commutation_check(n)
-           for n in range(1, min(config.get("max_n", 2), 2) + 1)]
-    out.append(verify_cayley_quaternion("complexForm", 1))
-    out.append(verify_cayley_quaternion("realForm", 1))
-    return out
-
-
-@register("cayley.radial")
-def _run_cayley_radial(config):
-    reports = [radial_identity(n, s)
-               for n in range(1, 5) for s in range(1, 5)]
-    gl2 = radial_gl2_example()
-    ok = (gl2 - Coefficient.from_rational(2)).is_zero()
-    t0 = time.monotonic()
-    reports.append(_bool_report(
-        "cayley.radial.gl2-example", "weyl(l1,l2)", {"n": 2}, ok, t0,
-        detail="" if ok else f"got {gl2.render()}",
-        notes={"value": gl2.render()},
-    ))
-    return reports

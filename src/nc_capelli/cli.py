@@ -13,10 +13,10 @@ import os
 import re
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__, cayley  # noqa: F401  (cayley registers verifiers)
-from . import identities, pbw, swapalg, weyl
+from . import __version__, identities, pbw, swapalg, weyl
 from .scalars import Coefficient
 
 VERSION = __version__
@@ -173,8 +173,19 @@ class ExpandContext:
 # ---------------------------------------------------------------------------
 
 def _run_one(args):
+    """Run one verifier id.  A verifier that raises gives one failing
+    report for the id, so the run still ends with a verdict and a JSON
+    file."""
     verifier_id, config = args
-    reports = identities.REGISTRY[verifier_id](config)
+    t0 = time.monotonic()
+    try:
+        reports = identities.REGISTRY[verifier_id](config)
+    except Exception as e:
+        reports = [identities.bool_report(
+            verifier_id, "", {}, False, t0,
+            detail=f"{type(e).__name__}: {e}",
+            notes={"traceback": traceback.format_exc()},
+        )]
     return verifier_id, [r.to_dict() for r in reports]
 
 
@@ -184,38 +195,37 @@ def _report_sort_key(d):
 
 def run_suite(selection, config, workers=1, fail_fast=False,
               strict_conditional=False, out=None):
-    """Run the selected verifiers; returns (exit_code, report_dicts)."""
+    """Run the selected verifiers; returns (exit_code, report_dicts).
+    With fail_fast the run stops after the first id (in sorted order)
+    with a hard failure, whatever the number of workers."""
     if out is None:
         out = sys.stdout
     unknown = [v for v in selection if v not in identities.REGISTRY]
     if unknown:
         raise KeyError(f"unknown verifier ids: {', '.join(unknown)}")
-    selection = sorted(selection)
-    jobs = [(vid, config) for vid in selection]
+
+    def hard_fail(r):
+        return not r["residualIsZero"] and (strict_conditional or not r["conditional"])
+
+    jobs = [(vid, config) for vid in sorted(selection)]
     results = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for vid, reports in pool.map(_run_one, jobs):
-                results[vid] = reports
-    else:
-        for job in jobs:
-            vid, reports = _run_one(job)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for vid, reports in (pool.map if pool else map)(_run_one, jobs):
             results[vid] = reports
-            if fail_fast and any(
-                not r["residualIsZero"] and (strict_conditional or not r["conditional"])
-                for r in reports
-            ):
+            if fail_fast and any(map(hard_fail, reports)):
                 break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     reports = sorted(
         (r for rs in results.values() for r in rs), key=_report_sort_key
     )
     failed = 0
     for r in reports:
-        ok = r["residualIsZero"]
-        hard_fail = not ok and (strict_conditional or not r["conditional"])
-        flag = "ok" if ok else ("FAIL" if hard_fail else "fail(conditional)")
-        if hard_fail:
-            failed += 1
+        flag = "ok" if r["residualIsZero"] else (
+            "FAIL" if hard_fail(r) else "fail(conditional)")
+        failed += hard_fail(r)
         params = json.dumps(r["sizeParams"], sort_keys=True)
         print(f"  [{flag:>4}] {r['identityName']} {params} "
               f"({r['wallMillis']} ms)", file=out)
@@ -250,11 +260,7 @@ def main(argv=None):
                       default="weyl")
     expp.add_argument("expression")
 
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse uses exit code 2 for usage errors already
-        raise e
+    args = parser.parse_args(argv)
 
     if args.command == "expand":
         try:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
@@ -38,29 +39,17 @@ class VerificationReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "identityName": self.identityName,
-            "hostRing": self.hostRing,
-            "sizeParams": dict(self.sizeParams),
-            "residualIsZero": self.residualIsZero,
-            "residualRendering": self.residualRendering,
-            "lhsTermCount": self.lhsTermCount,
-            "rhsTermCount": self.rhsTermCount,
-            "wallMillis": self.wallMillis,
-            "conditional": self.conditional,
-            "notes": dict(self.notes),
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d):
         return VerificationReport(**d)
 
-    def sort_key(self):
-        return (self.identityName, sorted(self.sizeParams.items()))
 
-
-def _residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
-                     notes=None):
+def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
+                    notes=None):
+    """The report of an identity lhs = rhs: it holds iff lhs - rhs is
+    exactly zero.  t0 is the time.monotonic() at which the check began."""
     residual = lhs - rhs
     zero = residual.is_zero()
     return VerificationReport(
@@ -77,8 +66,10 @@ def _residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
     )
 
 
-def _bool_report(name, ring_name, size, ok, t0, detail="", conditional=False,
-                 notes=None):
+def bool_report(name, ring_name, size, ok, t0, detail="", conditional=False,
+                notes=None):
+    """The report of a check with a yes/no outcome; detail is rendered in
+    place of a residual when it fails."""
     return VerificationReport(
         identityName=name,
         hostRing=ring_name,
@@ -94,102 +85,65 @@ def _bool_report(name, ring_name, size, ok, t0, detail="", conditional=False,
 
 
 # ---------------------------------------------------------------------------
-# Instance catalog
+# Instance builders
 # ---------------------------------------------------------------------------
 
 def _index_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def classical_weyl(n, kind="plain"):
-    """Real-variable Capelli instances: (ring, gens, Z, D).
+# which index pairs (i, j) carry a free variable in each matrix shape
+_SHAPES = {
+    "plain": lambda i, j: True,
+    "symmetric": lambda i, j: i <= j,
+    "antisymmetric": lambda i, j: i < j,
+}
 
-    plain: Z = (z_ij), D = (d_ij);
-    symmetric (Turnbull): z_ij = z_ji, D doubled on the diagonal;
-    antisymmetric (Howe-Umeda / Kostant-Sahi): z_ij = -z_ji, zero diag.
-    """
-    if kind == "plain":
-        names = [f"z{i}{j}" for i, j in _index_pairs(n)]
-    elif kind == "symmetric":
-        names = [f"z{i}{j}" for i, j in _index_pairs(n) if i <= j]
-    elif kind == "antisymmetric":
-        names = [f"z{i}{j}" for i, j in _index_pairs(n) if i < j]
-    else:
+
+def _shaped_weyl(n, kind, prefixes, pair):
+    """(ring, gens, Z, D) of the given shape over one (z, d) pair per
+    free index pair: ``pair(gens, "ij")`` builds it from the generators
+    named prefix + "ij" (all of the first prefix, then the next).
+
+    symmetric: z_ij = z_ji, D doubled on the diagonal;
+    antisymmetric: z_ij = -z_ji, zero diagonal."""
+    if kind not in _SHAPES:
         raise ValueError(f"unknown kind {kind!r}")
-    gens = weyl.GeneratorSet(names)
+    bases = [f"{i}{j}" for i, j in _index_pairs(n) if _SHAPES[kind](i, j)]
+    gens = weyl.GeneratorSet([p + b for p in prefixes for b in bases])
     ring = weyl.weyl_ring(gens)
-    var = lambda i, j: weyl.WeylElement.variable(gens, f"z{i}{j}")
-    der = lambda i, j: weyl.WeylElement.derivative(gens, f"z{i}{j}")
-    Z, D = [], []
-    for i in range(1, n + 1):
-        zr, dr = [], []
-        for j in range(1, n + 1):
-            if kind == "plain":
-                zr.append(var(i, j))
-                dr.append(der(i, j))
-            elif kind == "symmetric":
-                a, b = min(i, j), max(i, j)
-                zr.append(var(a, b))
-                dr.append(der(a, b).scale(2) if i == j else der(a, b))
-            else:
-                if i == j:
-                    zr.append(ring.zero)
-                    dr.append(ring.zero)
-                elif i < j:
-                    zr.append(var(i, j))
-                    dr.append(der(i, j))
-                else:
-                    zr.append(-var(j, i))
-                    dr.append(-der(j, i))
-        Z.append(zr)
-        D.append(dr)
-    return ring, gens, mo.matrix(ring, Z), mo.matrix(ring, D)
+    pairs = {b: pair(gens, b) for b in bases}
+
+    def entry(i, j):
+        if kind == "plain":
+            return pairs[f"{i}{j}"]
+        if kind == "antisymmetric" and i == j:
+            return ring.zero, ring.zero
+        z, d = pairs[f"{min(i, j)}{max(i, j)}"]
+        if kind == "symmetric":
+            return z, d.scale(2) if i == j else d
+        return (z, d) if i < j else (-z, -d)
+
+    cells = [[entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    Z = mo.matrix(ring, [[z for z, _ in row] for row in cells])
+    D = mo.matrix(ring, [[d for _, d in row] for row in cells])
+    return ring, gens, Z, D
+
+
+def classical_weyl(n, kind="plain"):
+    """Real-variable Capelli instances over z_ij, d_ij: (ring, gens, Z, D)
+    with kind plain, symmetric (Turnbull) or antisymmetric
+    (Howe-Umeda / Kostant-Sahi)."""
+    return _shaped_weyl(n, kind, "z", lambda gens, b: (
+        weyl.WeylElement.variable(gens, f"z{b}"),
+        weyl.WeylElement.derivative(gens, f"z{b}"),
+    ))
 
 
 def complex_weyl(n, kind="plain"):
     """Complex-variable instances over real generators x_ij, y_ij:
     z_ij = x_ij + i*y_ij, d_ij = (dx_ij - i*dy_ij)/2."""
-    if kind == "plain":
-        bases = [f"{i}{j}" for i, j in _index_pairs(n)]
-    elif kind == "symmetric":
-        bases = [f"{i}{j}" for i, j in _index_pairs(n) if i <= j]
-    elif kind == "antisymmetric":
-        bases = [f"{i}{j}" for i, j in _index_pairs(n) if i < j]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    names = [f"x{b}" for b in bases] + [f"y{b}" for b in bases]
-    gens = weyl.GeneratorSet(names)
-    ring = weyl.weyl_ring(gens)
-    pairs = {b: weyl.complex_pair(gens, b) for b in bases}
-    Z, D = [], []
-    for i in range(1, n + 1):
-        zr, dr = [], []
-        for j in range(1, n + 1):
-            if kind == "plain":
-                z, d = pairs[f"{i}{j}"]
-                zr.append(z)
-                dr.append(d)
-            elif kind == "symmetric":
-                a, b = min(i, j), max(i, j)
-                z, d = pairs[f"{a}{b}"]
-                zr.append(z)
-                dr.append(d.scale(2) if i == j else d)
-            else:
-                if i == j:
-                    zr.append(ring.zero)
-                    dr.append(ring.zero)
-                else:
-                    a, b = min(i, j), max(i, j)
-                    z, d = pairs[f"{a}{b}"]
-                    if i < j:
-                        zr.append(z)
-                        dr.append(d)
-                    else:
-                        zr.append(-z)
-                        dr.append(-d)
-        Z.append(zr)
-        D.append(dr)
-    return ring, gens, mo.matrix(ring, Z), mo.matrix(ring, D)
+    return _shaped_weyl(n, kind, "xy", weyl.complex_pair)
 
 
 def gln_E_matrix(n, doubled=False):
@@ -225,20 +179,6 @@ def css_instance(kind, n):
         return ring, gens, mo.matrix(ring, [[z]]), mo.matrix(ring, [[dz]]), \
             mo.matrix(ring, [[z + dz]])
     raise ValueError(f"unknown CSS kind {kind!r}")
-
-
-INSTANCE_CATALOG = {
-    "classical": lambda n: classical_weyl(n, "plain"),
-    "turnbull": lambda n: classical_weyl(n, "symmetric"),
-    "huks": lambda n: classical_weyl(n, "antisymmetric"),
-    "complex-plain": lambda n: complex_weyl(n, "plain"),
-    "complex-symmetric": lambda n: complex_weyl(n, "symmetric"),
-    "complex-antisymmetric": lambda n: complex_weyl(n, "antisymmetric"),
-    "gln": lambda n: gln_E_matrix(n),
-    "doubled-gln": lambda n: gln_E_matrix(n, doubled=True),
-    "css": lambda n: css_instance("css", n),
-    "tcss": lambda n: css_instance("tcss", n),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +337,22 @@ def mat_bar(M):
     return mo.RingMatrix(M.ring, [[e.bar() for e in row] for row in M.entries])
 
 
-def operator_action_oracle(lhs, rhs, gens, max_degree=2):
-    """Apply both sides to every monomial of total degree <= max_degree
-    in the commuting variables; True iff all actions agree."""
+def _monomials(gens, max_degree):
+    """Every monomial of total degree <= max_degree in the commuting
+    variables, lowest degree first."""
     for deg in range(max_degree + 1):
         for combo in combinations_with_replacement(gens.names, deg):
             exp = [0] * gens.n
             for name in combo:
                 exp[gens.index[name]] += 1
-            p = weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): C_ONE})
-            if not (lhs.apply(p) - rhs.apply(p)).is_zero():
-                return False
-    return True
+            yield weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): C_ONE})
+
+
+def operator_action_oracle(lhs, rhs, gens, max_degree=2):
+    """Apply both sides to every monomial of total degree <= max_degree
+    in the commuting variables; True iff all actions agree."""
+    return all((lhs.apply(p) - rhs.apply(p)).is_zero()
+               for p in _monomials(gens, max_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +376,7 @@ def verify_classical_capelli(kind, n):
     notes = {}
     if n <= 2:
         notes["operator_oracle"] = operator_action_oracle(lhs, rhs, gens)
-    return _residual_report(
+    return residual_report(
         f"capelli.{kind}", ring.name, {"n": n}, lhs, rhs, t0, notes=notes
     )
 
@@ -474,14 +418,9 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet_laplace(ZR)
     ddet = mo.coldet_laplace(alt)
-    for deg in range(max_degree + 1):
-        for combo in combinations_with_replacement(gens.names, deg):
-            exp = [0] * gens.n
-            for name in combo:
-                exp[gens.index[name]] += 1
-            p = weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): C_ONE})
-            if not (_coldet_apply(lhsM, p) - zdet * ddet.apply(p)).is_zero():
-                return False
+    if not all((_coldet_apply(lhsM, p) - zdet * ddet.apply(p)).is_zero()
+               for p in _monomials(gens, max_degree)):
+        return False
     return (mo.coldet_laplace(lhsM) - zdet * ddet).is_zero()
 
 
@@ -517,7 +456,7 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
         notes["raw_transpose_residual_zero"] = _alt_reading_residual_zero(
             ZR, alt, corr, gens
         )
-    return _residual_report(
+    return residual_report(
         f"decomplex.square.{kind}",
         ring.name,
         {"n": n, "sign": sign},
@@ -565,7 +504,7 @@ def verify_rectangular(kind, n, I, J, sign="plus"):
         rhs = rhs + mo.coldet(mo.submatrix(ZR, dI, L)) * mo.coldet(
             mo.submatrix(DtR, L, dJ)
         )
-    return _residual_report(
+    return residual_report(
         f"rect.{'antisym' if conditional else kind}",
         ring.name,
         {"n": n, "r": r, "I": list(I), "J": list(J), "sign": sign},
@@ -608,7 +547,7 @@ def verify_thm_theor1(n):
     )
     lhs = mo.coldet(mo.decomplexify(M))
     rhs = mo.coldet(M) * mo.coldet(mat_bar(M))
-    report = _residual_report(
+    report = residual_report(
         "factorization.weak", ring.name, {"n": n}, lhs, rhs, t0
     )
     # commutative instance over the Weyl polynomial subring
@@ -660,7 +599,7 @@ def verify_main_theorem(instance, ds, sign="plus"):
     lhs = mo.coldet(mo.decomplexify(C) + mo.matmul(mo.decomplexify(Q), corr))
     shifted = C + mo.matmul(Q, shift_diag(ring, ds))
     rhs = mo.coldet(shifted) * mo.coldet(mat_bar(shifted))
-    report = _residual_report(
+    report = residual_report(
         "factorization.main",
         ring.name,
         {"n": C.rows, "instance": instance.name,
@@ -686,7 +625,7 @@ def verify_holfact_capelli(n, sign="plus"):
     lhs = mo.coldet(mo.decomplexify(E) + corr)
     shifted = E + shift_diag(ring, shifts)
     rhs = mo.coldet(shifted) * mo.coldet(mat_bar(shifted))
-    return _residual_report(
+    return residual_report(
         "factorization.capelli", ring.name, {"n": n, "sign": sign}, lhs, rhs, t0
     )
 
@@ -747,7 +686,7 @@ def verify_holfact_general(n, truncate=None):
     else:
         ok = not diff.is_zero()
         detail = "" if ok else "truncated defect unexpectedly zero"
-    return _bool_report(
+    return bool_report(
         "factorization.global-cancellation",
         host.name,
         {"n": n, "truncate": truncate},
@@ -767,7 +706,7 @@ def verify_local_factorization(sign="plus"):
     antihol = swapalg.check_holfactpsi("antihol")
     cor = swapalg.check_coronfact(sign)
     ok = hol["ok"] and antihol["ok"] and cor["ok"]
-    return _bool_report(
+    return bool_report(
         "factorization.local",
         "swap(psi,phi,psi_bar,phi_bar)",
         {"sign": sign},
@@ -812,7 +751,7 @@ def verify_css_capelli(css_kind, n, sign="plus"):
     MR, YR = mo.decomplexify(M), mo.decomplexify(Y)
     lhs = mo.coldet(mo.matmul(MR, YR) + mo.matmul(mo.decomplexify(Q), corr))
     rhs = mo.coldet(MR) * mo.coldet(YR)
-    report = _residual_report(
+    report = residual_report(
         f"css.capelli.{css_kind if n > 1 else 'n1'}",
         ring.name,
         {"n": n, "sign": sign},
@@ -854,7 +793,7 @@ def verify_implications(n):
         mo.matmul(tM, tY), tQ
     )
     ok = all(results.values())
-    return _bool_report(
+    return bool_report(
         "css.implications",
         ring.name,
         {"n": n},
@@ -876,7 +815,7 @@ def verify_capelli_center(n):
     parts = det.split_by_param("u")
     central = {e: pbw.is_central(x) for e, x in sorted(parts.items())}
     ok = all(central.values())
-    return _bool_report(
+    return bool_report(
         "center.capelli",
         ring.name,
         {"n": n},
@@ -901,7 +840,7 @@ def verify_hc_image(n):
         expected = expected * (
             Coefficient.param(f"lam{i}") + Coefficient.from_rational(n + 1 - 2 * i, 2)
         )
-    return _residual_report(
+    return residual_report(
         "center.hc", ring.name, {"n": n}, image, expected, t0
     )
 
@@ -975,12 +914,12 @@ def verify_oracle_coldet(count=200, seed=2026):
             )
         M = mo.matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
         if not (mo.coldet(M) - mo.coldet_laplace(M)).is_zero():
-            return _bool_report(
+            return bool_report(
                 "oracle.coldet", "mixed", {"count": count}, False, t0,
                 detail=f"disagreement at trial {trial}",
             )
         checked += 1
-    return _bool_report(
+    return bool_report(
         "oracle.coldet", "mixed", {"count": checked}, True, t0
     )
 
@@ -1007,11 +946,11 @@ def verify_oracle_topform(count=100, seed=2027):
         if mo.coldet(M).is_zero():
             want = alg.zero()
         if not (prod - want).is_zero():
-            return _bool_report(
+            return bool_report(
                 "oracle.topform", ring.name, {"count": count}, False, t0,
                 detail=f"disagreement at trial {trial}",
             )
-    return _bool_report("oracle.topform", ring.name, {"count": count}, True, t0)
+    return bool_report("oracle.topform", ring.name, {"count": count}, True, t0)
 
 
 def verify_oracle_decomplexify(count=100, seed=2028):
@@ -1037,192 +976,132 @@ def verify_oracle_decomplexify(count=100, seed=2028):
             not e.is_zero() for P in (prod, add) for row in P.entries for e in row
         )
         if bad:
-            return _bool_report(
+            return bool_report(
                 "oracle.decomplexify", ring.name, {"count": count}, False, t0,
                 detail=f"disagreement at trial {trial}",
             )
     idm = mo.decomplexify(mo.identity(ring, 2)) - mo.identity(ring, 4)
     ok = all(e.is_zero() for row in idm.entries for e in row)
-    return _bool_report(
+    return bool_report(
         "oracle.decomplexify", ring.name, {"count": count}, ok, t0,
         detail="" if ok else "Id^R != Id",
     )
 
 
 # ---------------------------------------------------------------------------
-# Registry (consumed by the CLI)
+# Sweep table (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
-REGISTRY = {}
+@dataclass(frozen=True)
+class Sweep:
+    """The cases one verifier id runs under a CLI config
+    {"max_n", "signs", "extended"}.
+
+    n runs over lo..min(max_n + over, cap), with cap replaced by
+    extended_cap under --extended (max_n >= 1, so a range with
+    over >= cap - 1 does not depend on max_n).  ``cases(n, sign)``
+    returns the reports of one n, once per selected correction sign when
+    per_sign is set (sign is None otherwise)."""
+    cases: Callable[[int, str | None], list]
+    lo: int
+    cap: int
+    over: int = 0
+    extended_cap: int | None = None
+    per_sign: bool = False
+
+    def __call__(self, config):
+        cap = (self.extended_cap or self.cap) if config["extended"] else self.cap
+        if not self.per_sign:
+            signs = (None,)
+        elif config["signs"] == "both":
+            signs = ("plus", "minus")
+        else:
+            signs = (config["signs"],)
+        return [report
+                for n in range(self.lo, min(config["max_n"] + self.over, cap) + 1)
+                for sign in signs
+                for report in self.cases(n, sign)]
 
 
-def register(verifier_id):
-    def wrap(fn):
-        REGISTRY[verifier_id] = fn
-        return fn
-    return wrap
+def _rect_cases(kind, n, rs=(1, 2)):
+    """Every (I, J) with |I| = |J| = r, for each r in rs."""
+    return [verify_rectangular(kind, n, I, J) for r in rs
+            for I in mo.multi_indexes(n, r) for J in mo.multi_indexes(n, r)]
 
 
-def _signs(config):
-    s = config.get("signs", "both")
-    return ("plus", "minus") if s == "both" else (s,)
+def _main_cases(n, sign):
+    """The Weyl n = 1 instance at a symbolic d1 and at d1 = 0; the
+    doubled gl_2 instance at symbolic (d2, d1)."""
+    ds_choices = ([[Coefficient.param("d1")], [C_ZERO]] if n == 1 else
+                  [[Coefficient.param(f"d{k}") for k in range(n, 0, -1)]])
+    return [verify_main_theorem(inst, ds, sign)
+            for inst in main_theorem_instances(n) for ds in ds_choices]
 
 
-@register("capelli.plain")
-def _run_capelli_plain(config):
-    return [verify_classical_capelli("plain", n)
-            for n in range(1, min(config.get("max_n", 2), 3) + 1)]
+# The Cayley verifiers build on the instance and report builders above,
+# so the module joins the table only once those exist.
+from . import cayley  # noqa: E402
 
-
-@register("capelli.turnbull")
-def _run_capelli_turnbull(config):
-    return [verify_classical_capelli("turnbull", n)
-            for n in range(1, min(config.get("max_n", 2), 3) + 1)]
-
-
-@register("capelli.huks")
-def _run_capelli_huks(config):
-    return [verify_classical_capelli("huks", 2)] if config.get("max_n", 2) >= 2 else []
-
-
-@register("decomplex.square.plain")
-def _run_dec_plain(config):
-    cap = 3 if config.get("extended") else 2
-    return [verify_decomplexified_capelli("plain", n, sign)
-            for n in range(1, min(config.get("max_n", 2), cap) + 1)
-            for sign in _signs(config)]
-
-
-@register("decomplex.square.symmetric")
-def _run_dec_sym(config):
-    cap = 3 if config.get("extended") else 2
-    return [verify_decomplexified_capelli("symmetric", n, sign)
-            for n in range(1, min(config.get("max_n", 2), cap) + 1)
-            for sign in _signs(config)]
-
-
-@register("decomplex.square.antisymmetric")
-def _run_dec_antisym(config):
-    if config.get("max_n", 2) < 2:
-        return []
-    return [verify_decomplexified_capelli("antisymmetric", 2, sign)
-            for sign in _signs(config)]
-
-
-@register("rect.capelli")
-def _run_rect_capelli(config):
-    return _rect_sweep(config, "capelli")
-
-
-@register("rect.turnbull")
-def _run_rect_turnbull(config):
-    return _rect_sweep(config, "turnbull")
-
-
-def _rect_sweep(config, kind):
-    out = []
-    for n in range(2, min(config.get("max_n", 2), 3) + 1):
-        for r in (1, 2):
-            for I in mo.multi_indexes(n, r):
-                for J in mo.multi_indexes(n, r):
-                    out.append(verify_rectangular(kind, n, I, J))
-    return out
-
-
-@register("rect.antisym")
-def _run_rect_antisym(config):
-    if config.get("max_n", 2) < 2:
-        return []
-    return [verify_rectangular("antisym-conditional", 2, I, J)
-            for I in mo.multi_indexes(2, 1) for J in mo.multi_indexes(2, 1)]
-
-
-@register("factorization.weak")
-def _run_weak(config):
-    return [verify_thm_theor1(n)
-            for n in range(2, min(config.get("max_n", 2) + 1, 3) + 1)]
-
-
-@register("factorization.main")
-def _run_main(config):
-    out = []
-    for sign in _signs(config):
-        for inst in main_theorem_instances(1):
-            out.append(verify_main_theorem(inst, [Coefficient.param("d1")], sign))
-            out.append(verify_main_theorem(inst, [C_ZERO], sign))
-        if config.get("max_n", 2) >= 2:
-            for inst in main_theorem_instances(2):
-                out.append(
-                    verify_main_theorem(
-                        inst,
-                        [Coefficient.param("d2"), Coefficient.param("d1")],
-                        sign,
-                    )
-                )
-    return out
-
-
-@register("factorization.capelli")
-def _run_holfact_capelli(config):
-    return [verify_holfact_capelli(n, sign)
-            for n in range(1, min(config.get("max_n", 2), 2) + 1)
-            for sign in _signs(config)]
-
-
-@register("factorization.local")
-def _run_local(config):
-    return [verify_local_factorization(sign) for sign in _signs(config)]
-
-
-@register("factorization.global-cancellation")
-def _run_global(config):
-    out = []
-    for n in (2, 3):
-        out.append(verify_holfact_general(n))
-        for m in range(1, n):
-            out.append(verify_holfact_general(n, truncate=m))
-    return out
-
-
-@register("css.capelli")
-def _run_css(config):
-    out = []
-    for sign in _signs(config):
-        out.append(verify_css_capelli("css", 1, sign))
-        if config.get("max_n", 2) >= 2:
-            out.append(verify_css_capelli("css", 2, sign))
-            out.append(verify_css_capelli("tcss", 2, sign))
-    return out
-
-
-@register("css.implications")
-def _run_implications(config):
-    return [verify_implications(n)
-            for n in range(2, min(config.get("max_n", 2) + 1, 3) + 1)]
-
-
-@register("center.capelli")
-def _run_center(config):
-    return [verify_capelli_center(n)
-            for n in range(2, min(config.get("max_n", 2) + 1, 3) + 1)]
-
-
-@register("center.hc")
-def _run_hc(config):
-    return [verify_hc_image(n)
-            for n in range(1, min(config.get("max_n", 2) + 1, 3) + 1)]
-
-
-@register("oracle.coldet")
-def _run_oracle_coldet(config):
-    return [verify_oracle_coldet()]
-
-
-@register("oracle.topform")
-def _run_oracle_topform(config):
-    return [verify_oracle_topform()]
-
-
-@register("oracle.decomplexify")
-def _run_oracle_decomplexify(config):
-    return [verify_oracle_decomplexify()]
+# Every verifier id.  The cases look their verifiers up at call time, so a
+# patched module function (a tracer, a stub) is the one that runs.
+REGISTRY = {
+    "capelli.plain": Sweep(
+        lambda n, _: [verify_classical_capelli("plain", n)], lo=1, cap=3),
+    "capelli.turnbull": Sweep(
+        lambda n, _: [verify_classical_capelli("turnbull", n)], lo=1, cap=3),
+    "capelli.huks": Sweep(
+        lambda n, _: [verify_classical_capelli("huks", n)], lo=2, cap=2),
+    "decomplex.square.plain": Sweep(
+        lambda n, sign: [verify_decomplexified_capelli("plain", n, sign)],
+        lo=1, cap=2, extended_cap=3, per_sign=True),
+    "decomplex.square.symmetric": Sweep(
+        lambda n, sign: [verify_decomplexified_capelli("symmetric", n, sign)],
+        lo=1, cap=2, extended_cap=3, per_sign=True),
+    "decomplex.square.antisymmetric": Sweep(
+        lambda n, sign: [verify_decomplexified_capelli("antisymmetric", n, sign)],
+        lo=2, cap=2, per_sign=True),
+    "rect.capelli": Sweep(lambda n, _: _rect_cases("capelli", n), lo=2, cap=3),
+    "rect.turnbull": Sweep(lambda n, _: _rect_cases("turnbull", n), lo=2, cap=3),
+    "rect.antisym": Sweep(
+        lambda n, _: _rect_cases("antisym-conditional", n, rs=(1,)),
+        lo=2, cap=2),
+    "factorization.weak": Sweep(
+        lambda n, _: [verify_thm_theor1(n)], lo=2, cap=3, over=1),
+    "factorization.main": Sweep(_main_cases, lo=1, cap=2, per_sign=True),
+    "factorization.capelli": Sweep(
+        lambda n, sign: [verify_holfact_capelli(n, sign)],
+        lo=1, cap=2, per_sign=True),
+    "factorization.local": Sweep(
+        lambda _, sign: [verify_local_factorization(sign)],
+        lo=1, cap=1, per_sign=True),
+    "factorization.global-cancellation": Sweep(
+        lambda n, _: [verify_holfact_general(n, m) for m in (None, *range(1, n))],
+        lo=2, cap=3, over=2),
+    "css.capelli": Sweep(
+        lambda n, sign: [verify_css_capelli(kind, n, sign)
+                         for kind in (("css",) if n == 1 else ("css", "tcss"))],
+        lo=1, cap=2, per_sign=True),
+    "css.implications": Sweep(
+        lambda n, _: [verify_implications(n)], lo=2, cap=3, over=1),
+    "center.capelli": Sweep(
+        lambda n, _: [verify_capelli_center(n)], lo=2, cap=3, over=1),
+    "center.hc": Sweep(lambda n, _: [verify_hc_image(n)], lo=1, cap=3, over=1),
+    "oracle.coldet": Sweep(lambda *_: [verify_oracle_coldet()], lo=1, cap=1),
+    "oracle.topform": Sweep(lambda *_: [verify_oracle_topform()], lo=1, cap=1),
+    "oracle.decomplexify": Sweep(
+        lambda *_: [verify_oracle_decomplexify()], lo=1, cap=1),
+    "cayley.scalar": Sweep(
+        lambda n, _: [cayley.verify_cayley_scalar(n)],
+        lo=1, cap=3, over=2, extended_cap=4),
+    "cayley.decomplexified": Sweep(
+        lambda n, _: [cayley.verify_cayley_decomplexified(n)], lo=1, cap=2),
+    "cayley.quaternion": Sweep(
+        lambda n, _: [cayley.quaternion_commutation_check(n)] + (
+            [cayley.verify_cayley_quaternion(kind, n)
+             for kind in ("complexForm", "realForm")] if n == 1 else []),
+        lo=1, cap=2),
+    "cayley.radial": Sweep(
+        lambda n, _: [cayley.radial_identity(n, s) for s in range(1, 5)] + (
+            [cayley.radial_gl2_report()] if n == 2 else []),
+        lo=1, cap=4, over=3),
+}

@@ -1,10 +1,11 @@
 """CLI: suite running, exit codes, JSON reports, expression expansion."""
 
 import json
+import time
 
 import pytest
 
-from nc_capelli import cli
+from nc_capelli import cli, identities
 
 
 def run_cli(argv, capsys):
@@ -125,3 +126,52 @@ def test_bad_worker_env_exit_2(monkeypatch, capsys):
     code, _, err = run_cli(["run", "--suite", "capelli.plain"], capsys)
     assert code == 2
     assert "NC_CAPELLI_WORKERS" in err
+
+
+def _fake_registry(monkeypatch, outcomes):
+    """Replace the registry by ids whose verifier passes ("ok"), fails
+    ("fail") or raises ("raise")."""
+    def verifier(vid, outcome):
+        def run(config):
+            if outcome == "raise":
+                raise ValueError(f"{vid} exploded")
+            return [identities.bool_report(
+                vid, "test", {"n": 1}, outcome == "ok", time.monotonic())]
+        return run
+    monkeypatch.setattr(identities, "REGISTRY", {
+        vid: verifier(vid, outcome) for vid, outcome in outcomes.items()})
+
+
+def _reports(path):
+    reports = json.loads(path.read_text())["reports"]
+    for r in reports:
+        r["wallMillis"] = 0
+    return reports
+
+
+def test_fail_fast_same_reports_across_workers(monkeypatch, tmp_path, capsys):
+    _fake_registry(monkeypatch, {"a": "ok", "b": "fail", "c": "ok", "d": "ok"})
+    runs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.json"
+        code, out, _ = run_cli(
+            ["run", "--fail-fast", "--workers", workers, "--json", str(path)],
+            capsys)
+        assert code == 1
+        assert "2 reports, 1 failures" in out
+        runs.append(_reports(path))
+    assert runs[0] == runs[1]
+    assert [r["identityName"] for r in runs[0]] == ["a", "b"]
+
+
+def test_raising_verifier_is_a_failing_report(monkeypatch, tmp_path, capsys):
+    _fake_registry(monkeypatch, {"a": "ok", "b": "raise"})
+    path = tmp_path / "r.json"
+    code, out, _ = run_cli(["run", "--json", str(path)], capsys)
+    assert code == 1
+    assert "2 reports, 1 failures" in out
+    a, b = _reports(path)
+    assert a["residualIsZero"] is True
+    assert b["identityName"] == "b"
+    assert b["residualIsZero"] is False
+    assert b["residualRendering"] == "ValueError: b exploded"

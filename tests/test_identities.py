@@ -176,7 +176,6 @@ class TestRegistry:
     }
 
     def test_ids_present(self):
-        import nc_capelli.cayley  # noqa: F401  (registers cayley ids)
         assert self.EXPECTED_IDS <= set(idn.REGISTRY)
 
     def test_selection_runs(self):
