@@ -56,8 +56,9 @@ def b_polynomial(n):
 def _quotient(det_d, det_z, s):
     """apply(det_d, det_z^s) exact-divided by det_z^(s-1), as a
     Coefficient constant."""
-    applied = det_d.apply(det_z ** s)
-    return _constant_of(weyl.exact_divide(applied, det_z ** (s - 1)))
+    prev = det_z ** (s - 1)
+    applied = det_d.apply(prev * det_z)
+    return _constant_of(weyl.exact_divide(applied, prev))
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,9 @@ def main(argv=None):
     if args.suite == "all":
         selection = sorted(identities.REGISTRY)
     else:
-        selection = [v.strip() for v in args.suite.split(",") if v.strip()]
+        # an id named twice runs and is listed once, in first-seen order
+        selection = list(dict.fromkeys(
+            v.strip() for v in args.suite.split(",") if v.strip()))
         if not selection:
             print("error: empty suite selection", file=sys.stderr)
             return 2

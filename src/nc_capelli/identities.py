@@ -385,29 +385,7 @@ def _coldet_apply(M, p):
     """Apply the operator coldet(M) to the polynomial p without
     expanding the determinant (memoized Laplace along the first
     column, entries acting right-to-left)."""
-    n = M.rows
-    entries = M.entries
-    ring = M.ring
-    memo = {}
-
-    def rec(rows):
-        if not rows:
-            return p
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        acc = ring.zero
-        for pos, row in enumerate(rows):
-            e = entries[row][col]
-            if e.is_zero():
-                continue
-            sub = e.apply(rec(rows[:pos] + rows[pos + 1 :]))
-            acc = acc + sub if pos % 2 == 0 else acc - sub
-        memo[rows] = acc
-        return acc
-
-    return rec(tuple(range(n)))
+    return mo._laplace(M, p, weyl.WeylElement.apply)
 
 
 def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):

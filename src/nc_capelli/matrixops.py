@@ -8,6 +8,7 @@ the multi-index machinery used by the rectangular identities.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from .ringapi import im_part, re_part
 from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
@@ -140,27 +141,36 @@ def coldet(M):
 def coldet_laplace(M):
     """Column determinant via recursive expansion along the first column
     (memoized on the surviving row set); must agree with coldet."""
+    return _laplace(M, M.ring.one, mul)
+
+
+def _laplace(M, leaf, act):
+    """Memoized Laplace recursion along the first column: the minor on
+    no rows is ``leaf``, and an entry e enters its column's expansion as
+    ``act(e, minor)``.  With ``leaf`` the unit and ``act`` the product
+    this is the column determinant; with a polynomial and ``apply`` it
+    is the determinant's action on that polynomial."""
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")
     n = M.rows
-    ring = M.ring
     entries = M.entries
+    zero = M.ring.zero
     memo = {}
 
     def minor(rows):
         # rows: tuple of surviving row indices; column = n - len(rows)
         if not rows:
-            return ring.one
+            return leaf
         cached = memo.get(rows)
         if cached is not None:
             return cached
         col = n - len(rows)
-        acc = ring.zero
+        acc = zero
         for pos, row in enumerate(rows):
             e = entries[row][col]
             if e.is_zero():
                 continue
-            sub = e * minor(rows[:pos] + rows[pos + 1 :])
+            sub = act(e, minor(rows[:pos] + rows[pos + 1 :]))
             acc = acc + sub if pos % 2 == 0 else acc - sub
         memo[rows] = acc
         return acc

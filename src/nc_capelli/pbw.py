@@ -9,8 +9,8 @@ straightening of shared words memoized per algebra.
 
 from __future__ import annotations
 
-from .ringapi import Ring, SparseElement, accumulate
-from .scalars import Coefficient
+from .ringapi import Ring
+from .scalars import Coefficient, SparseElement, accumulate
 
 C_ONE = Coefficient.one()
 
@@ -106,25 +106,17 @@ class LieAlgebraSpec:
         exp[self.index[name]] = 1
         return PbwElement(self, {tuple(exp): C_ONE})
 
-    def from_coefficient(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        if c.is_zero():
-            return PbwElement(self, {})
-        return PbwElement(self, {(0,) * self.n: c})
-
     def zero(self):
         return PbwElement(self, {})
 
     def one(self):
-        return self.from_coefficient(C_ONE)
+        return PbwElement(self, {(0,) * self.n: C_ONE})
 
     def ring(self):
         return Ring(
             f"pbw({len(self.basis)} gens)",
             self.zero(),
             self.one(),
-            from_coefficient=self.from_coefficient,
             has_bar=self.bar_map is not None,
         )
 

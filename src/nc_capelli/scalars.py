@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals and sparse
-polynomials in named central parameters.
+polynomials in named central parameters, and the sparse-sum core
+(:class:`SparseElement`, :func:`accumulate`) that the polynomials and
+every algebra engine build on.
 
 Everything here is an immutable value with exact arithmetic; the ground
 field is the rationals extended by a formal ``i`` with ``i**2 == -1``.
@@ -127,6 +129,129 @@ G_ONE = GaussianRational(RAT_ONE)
 G_I = GaussianRational(RAT_ZERO, RAT_ONE)
 
 
+def accumulate(out, items):
+    """Add (key, value) pairs into the dict ``out``, never storing a zero
+    value and dropping a key whose sum becomes zero; returns ``out``."""
+    for key, value in items:
+        cur = out.get(key)
+        if cur is None:
+            if not value.is_zero():
+                out[key] = value
+        else:
+            s = cur + value
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+    return out
+
+
+class SparseElement:
+    """Shared arithmetic of the sparse sums: a dict ``terms`` from a
+    hashable monomial to a nonzero value, with one ``+``, ``-``, unary
+    ``-``, ``scale``, ``**``, ``is_zero``, ``render`` and ``__repr__``.
+
+    ``Coefficient`` (values ``GaussianRational``) and the four engine
+    classes ``WeylElement``, ``PbwElement``, ``SwapElement`` and
+    ``ExteriorElement`` (values ``Coefficient``) build on it.  A subclass
+    must supply:
+
+    - ``_new(terms)``: a sibling over the same generators, basis, table
+      or algebra, holding ``terms`` (which it takes ownership of);
+    - ``_one()``: the unit of its algebra;
+    - ``__mul__`` (accumulating through :func:`accumulate`) and, where
+      the algebra has a conjugation, ``bar``;
+    - ``__eq__`` (and ``__hash__`` where elements are hashed);
+    - ``_render_order()``: the monomials of ``terms`` in display order;
+    - ``_render_monomial(mono)``: the text of one monomial, ``""`` for
+      the unit monomial.
+    """
+
+    __slots__ = ()
+
+    # ``+`` and ``-`` keep the loop inline: they are the most-called
+    # element operations, and one more call per use shows in the runs.
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            cur = terms.get(mono)
+            if cur is None:
+                terms[mono] = c
+            else:
+                s = cur + c
+                if s.is_zero():
+                    del terms[mono]
+                else:
+                    terms[mono] = s
+        return self._new(terms)
+
+    def __sub__(self, other):
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            cur = terms.get(mono)
+            if cur is None:
+                terms[mono] = -c
+            else:
+                s = cur - c
+                if s.is_zero():
+                    del terms[mono]
+                else:
+                    terms[mono] = s
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def scale(self, c):
+        if not isinstance(c, Coefficient):
+            c = Coefficient.from_rational(c)
+        terms = {}
+        for mono, cur in self.terms.items():
+            p = cur * c
+            if not p.is_zero():
+                terms[mono] = p
+        return self._new(terms)
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        result = self._one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def is_zero(self):
+        return not self.terms
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono in self._render_order():
+            mtxt = self._render_monomial(mono)
+            ctxt = self.terms[mono].render()
+            if not mtxt:
+                parts.append(ctxt)
+            elif ctxt == "1":
+                parts.append(mtxt)
+            elif ctxt == "-1":
+                parts.append("-" + mtxt)
+            elif ("+" in ctxt[1:]) or ("-" in ctxt[1:]) or " " in ctxt:
+                parts.append(f"({ctxt})*{mtxt}")
+            else:
+                parts.append(f"{ctxt}*{mtxt}")
+        text = parts[0]
+        for part in parts[1:]:
+            if part.startswith("-"):
+                text += " - " + part[1:]
+            else:
+                text += " + " + part
+        return text
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.render()}>"
+
+
 def _mono_key(mono):
     """Graded-lex sort key for a parameter monomial."""
     return (sum(e for _, e in mono), mono)
@@ -143,7 +268,7 @@ def _mono_mul(a, b):
     return tuple(sorted(exps.items()))
 
 
-class Coefficient:
+class Coefficient(SparseElement):
     """Sparse polynomial over Q[i] in central real parameters.
 
     terms: dict mapping monomial -> GaussianRational, where a monomial is
@@ -165,6 +290,8 @@ class Coefficient:
     @staticmethod
     def one():
         return Coefficient({(): G_ONE})
+
+    _one = one
 
     @staticmethod
     def from_rational(value, den=None):
@@ -192,37 +319,6 @@ class Coefficient:
 
     # --- ring operations ---------------------------------------------
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for mono, g in other.terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = g
-            else:
-                s = cur + g
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return Coefficient(terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for mono, g in other.terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = -g
-            else:
-                s = cur - g
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return Coefficient(terms)
-
-    def __neg__(self):
-        return Coefficient({m: -g for m, g in self.terms.items()})
-
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return Coefficient({})
@@ -232,36 +328,21 @@ class Coefficient:
             ((m1, g1),) = self.terms.items()
             ((m2, g2),) = other.terms.items()
             return Coefficient({_mono_mul(m1, m2): g1 * g2})
-        terms = {}
-        for m1, g1 in self.terms.items():
-            for m2, g2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                p = g1 * g2
-                cur = terms.get(mono)
-                if cur is None:
-                    terms[mono] = p
-                else:
-                    s = cur + p
-                    if s.is_zero():
-                        del terms[mono]
-                    else:
-                        terms[mono] = s
-        return Coefficient(terms)
+        return Coefficient(accumulate({}, (
+            (_mono_mul(m1, m2), g1 * g2)
+            for m1, g1 in self.terms.items()
+            for m2, g2 in other.terms.items()
+        )))
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError(f"negative exponent {n}")
-        result = Coefficient.one()
-        for _ in range(n):
-            result = result * self
-        return result
+    def scale(self, c):
+        """A Coefficient is its own coefficient ring: scaling multiplies."""
+        if not isinstance(c, Coefficient):
+            c = Coefficient.from_rational(c)
+        return self * c
 
     def bar(self):
         """Conjugate i -> -i; parameters are real and stay fixed."""
         return Coefficient({m: g.conjugate() for m, g in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, Coefficient) and self.terms == other.terms
@@ -284,14 +365,6 @@ class Coefficient:
         if g.im != 0:
             raise ValueError(f"not rational: {self.render()}")
         return g.re
-
-    def degree_in(self, name):
-        deg = 0
-        for mono in self.terms:
-            for pname, e in mono:
-                if pname == name:
-                    deg = max(deg, e)
-        return deg
 
     def split_by_param(self, name):
         """Split into {exponent of name: cofactor Coefficient}."""
@@ -331,37 +404,16 @@ class Coefficient:
 
     # --- rendering ----------------------------------------------------
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=_mono_key):
-            g = self.terms[mono]
-            ptxt = "*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in mono
-            )
-            gtxt = g.render()
-            if not ptxt:
-                parts.append(gtxt)
-            elif g == G_ONE:
-                parts.append(ptxt)
-            elif g == -G_ONE:
-                parts.append("-" + ptxt)
-            elif g.re != 0 and g.im != 0:
-                parts.append(f"({gtxt})*{ptxt}")
-            else:
-                parts.append(f"{gtxt}*{ptxt}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - " + part[1:]
-            else:
-                text += " + " + part
-        return text
+    def _render_order(self):
+        return sorted(self.terms, key=_mono_key)
 
-    def __repr__(self):
-        return f"<Coefficient {self.render()}>"
+    def _render_monomial(self, mono):
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in mono)
 
+
+# A type is not a descriptor, so ``self._new(terms)`` in the shared ``+``
+# and ``-`` is the constructor call itself, with no extra frame.
+Coefficient._new = Coefficient
 
 C_ZERO = Coefficient.zero()
 C_ONE = Coefficient.one()

@@ -13,7 +13,7 @@ confluence self-test runs at table construction on all letter triples.
 
 from __future__ import annotations
 
-from .ringapi import Ring, SparseElement, accumulate, im_part, re_part
+from .ringapi import Ring, im_part, re_part
 from .scalars import (
     C_HALF,
     C_I,
@@ -21,6 +21,8 @@ from .scalars import (
     C_INV_2I,
     C_QUARTER,
     Coefficient,
+    SparseElement,
+    accumulate,
 )
 
 C_ONE = Coefficient.one()
@@ -145,23 +147,17 @@ class SwapTable:
     def letter(self, name):
         return SwapElement(self, {(self.index[name],): C_ONE})
 
-    def from_coefficient(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        return SwapElement(self, {(): c} if not c.is_zero() else {})
-
     def zero(self):
         return SwapElement(self, {})
 
     def one(self):
-        return self.from_coefficient(C_ONE)
+        return SwapElement(self, {(): C_ONE})
 
     def ring(self):
         return Ring(
             f"swap({','.join(self.letters)})",
             self.zero(),
             self.one(),
-            from_coefficient=self.from_coefficient,
             has_bar=bool(self.bar_map),
         )
 

@@ -14,8 +14,15 @@ from __future__ import annotations
 from itertools import product
 from math import comb, perm
 
-from .ringapi import Ring, SparseElement, accumulate
-from .scalars import C_HALF, C_I, Coefficient, GaussianRational
+from .ringapi import Ring
+from .scalars import (
+    C_HALF,
+    C_I,
+    Coefficient,
+    GaussianRational,
+    SparseElement,
+    accumulate,
+)
 
 
 class NotDivisible(Exception):
@@ -368,6 +375,5 @@ def weyl_ring(gens):
         f"weyl({','.join(gens.names)})",
         WeylElement.zero(gens),
         WeylElement.one(gens),
-        from_coefficient=lambda c: WeylElement.from_coefficient(gens, c),
         has_bar=True,
     )

@@ -128,11 +128,13 @@ def test_bad_worker_env_exit_2(monkeypatch, capsys):
     assert "NC_CAPELLI_WORKERS" in err
 
 
-def _fake_registry(monkeypatch, outcomes):
+def _fake_registry(monkeypatch, outcomes, calls=None):
     """Replace the registry by ids whose verifier passes ("ok"), fails
-    ("fail") or raises ("raise")."""
+    ("fail") or raises ("raise"); each call appends its id to ``calls``."""
     def verifier(vid, outcome):
         def run(config):
+            if calls is not None:
+                calls.append(vid)
             if outcome == "raise":
                 raise ValueError(f"{vid} exploded")
             return [identities.bool_report(
@@ -175,3 +177,15 @@ def test_raising_verifier_is_a_failing_report(monkeypatch, tmp_path, capsys):
     assert b["identityName"] == "b"
     assert b["residualIsZero"] is False
     assert b["residualRendering"] == "ValueError: b exploded"
+
+
+def test_duplicate_suite_id_runs_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    _fake_registry(monkeypatch, {"a": "ok", "b": "ok"}, calls)
+    path = tmp_path / "r.json"
+    code, out, _ = run_cli(
+        ["run", "--suite", "b,a,b", "--json", str(path)], capsys)
+    assert code == 0
+    assert "2 reports, 0 failures" in out
+    assert sorted(calls) == ["a", "b"]
+    assert json.loads(path.read_text())["suite"] == ["b", "a"]

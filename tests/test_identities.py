@@ -1,10 +1,12 @@
 """Verifier suite: condition checkers, instance catalog, registry."""
 
+import random
+
 import pytest
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli import pbw
+from nc_capelli import pbw, weyl
 from nc_capelli.identities import VerificationReport
 from nc_capelli.scalars import Coefficient
 
@@ -194,3 +196,34 @@ class TestOracles:
 
     def test_decomplexify_oracle(self):
         assert idn.verify_oracle_decomplexify(count=30).residualIsZero
+
+
+def _random_weyl_matrix(rng, gens, n):
+    """An n x n matrix of sums of one or two Weyl monomials (degree <= 1
+    in each variable and derivative) with small integer coefficients."""
+    ring = weyl.weyl_ring(gens)
+
+    def entry():
+        out = ring.zero
+        for _ in range(rng.randint(1, 2)):
+            v = tuple(rng.randint(0, 1) for _ in gens.names)
+            u = tuple(rng.randint(0, 1) for _ in gens.names)
+            c = C(rng.choice([-2, -1, 1, 2]))
+            out = out + weyl.WeylElement(gens, {(v, u): c})
+        return out
+
+    return mo.matrix(ring, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coldet_apply_matches_expanded_action(seed):
+    """The memoized action of coldet(M) equals the action of the
+    expanded determinant, on every monomial of degree <= 3."""
+    rng = random.Random(seed)
+    gens = weyl.GeneratorSet(["x", "y"])
+    M = _random_weyl_matrix(rng, gens, 2 + seed % 2)
+    det = mo.coldet_laplace(M)
+    actions = [(idn._coldet_apply(M, p), det.apply(p))
+               for p in idn._monomials(gens, 3)]
+    assert all(got == want for got, want in actions)
+    assert any(not want.is_zero() for _, want in actions)

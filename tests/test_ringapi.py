@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_capelli import pbw
-from nc_capelli.ringapi import accumulate
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import Coefficient, accumulate
 from nc_capelli.swapalg import ExteriorAlgebra, psi_phi_table
 from nc_capelli.weyl import GeneratorSet, WeylElement, weyl_ring
 

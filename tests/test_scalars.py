@@ -104,6 +104,23 @@ class TestCoefficient:
     def test_render(self):
         assert C(0).render() == "0"
         assert (C(2) + C(3) * I).render() == "2+3*i"
+        s, u = Coefficient.param("s"), Coefficient.param("u")
+        cases = [
+            (s, "s"),
+            (-s, "-s"),
+            (I * s, "i*s"),
+            (-I * s, "-i*s"),
+            ((C(1) + I) * s, "(1+i)*s"),
+            ((C(1) - I) * s, "(1-i)*s"),
+            (C(3, 2) * s, "3/2*s"),
+            (C(-1, 2) * I * s, "-1/2*i*s"),
+            (s ** 2 * u, "s^2*u"),
+            (C(2) + C(3) * I + s - C(1, 2) * s * u + (C(1) + I) * s ** 2,
+             "2+3*i + s - 1/2*s*u + (1+i)*s^2"),
+        ]
+        for x, text in cases:
+            assert x.render() == text
+        assert repr(s) == "<Coefficient s>"
 
     @given(coefficients())
     @settings(max_examples=60, deadline=None)
