@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
-from .ringapi import commutator
+from .ringapi import COEFFICIENT_RING, commutator
 from .scalars import Coefficient
 
 C_ZERO = Coefficient.zero()
@@ -383,8 +383,8 @@ def verify_classical_capelli(kind, n):
 
 def _coldet_apply(M, p):
     """Apply the operator coldet(M) to the polynomial p without
-    expanding the determinant (memoized Laplace along the first
-    column, entries acting right-to-left)."""
+    expanding the determinant (the Laplace recursion of coldet,
+    entries acting right-to-left)."""
     return mo._laplace(M, p, weyl.WeylElement.apply)
 
 
@@ -394,12 +394,12 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):
     (proves nonzero) and fall back to the full expansion only when no
     witness appears."""
     lhsM = mo.matmul(ZR, alt) + corr
-    zdet = mo.coldet_laplace(ZR)
-    ddet = mo.coldet_laplace(alt)
+    zdet = mo.coldet(ZR)
+    ddet = mo.coldet(alt)
     if not all((_coldet_apply(lhsM, p) - zdet * ddet.apply(p)).is_zero()
                for p in _monomials(gens, max_degree)):
         return False
-    return (mo.coldet_laplace(lhsM) - zdet * ddet).is_zero()
+    return (mo.coldet(lhsM) - zdet * ddet).is_zero()
 
 
 def verify_decomplexified_capelli(kind, n, sign="plus"):
@@ -420,20 +420,13 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
     Dt = D if kind == "antisymmetric" else mo.transpose(D)
     DtR = mo.decomplexify(Dt)
     corr = mo.corr_tridiag(ring, capelli_shifts(n), sign)
-    # the memoized Laplace engine shares minors, which matters at 6x6
-    det = mo.coldet if n <= 2 else mo.coldet_laplace
-    lhs = det(mo.matmul(ZR, DtR) + corr)
-    rhs = det(ZR) * det(DtR)
-    notes = {}
+    lhs = mo.coldet(mo.matmul(ZR, DtR) + corr)
+    rhs = mo.coldet(ZR) * mo.coldet(DtR)
     alt = mo.transpose(mo.decomplexify(D))
+    notes = {"raw_transpose_residual_zero": _alt_reading_residual_zero(
+        ZR, alt, corr, gens)}
     if n <= 2:
-        alt_res = mo.coldet(mo.matmul(ZR, alt) + corr) - mo.coldet(ZR) * mo.coldet(alt)
-        notes["raw_transpose_residual_zero"] = alt_res.is_zero()
         notes["operator_oracle"] = operator_action_oracle(lhs, rhs, gens)
-    else:
-        notes["raw_transpose_residual_zero"] = _alt_reading_residual_zero(
-            ZR, alt, corr, gens
-        )
     return residual_report(
         f"decomplex.square.{kind}",
         ring.name,
@@ -852,13 +845,10 @@ def _random_weyl(rng, gens, terms=2, max_exp=1, polynomial=False):
     return out
 
 
-def verify_oracle_coldet(count=200, seed=2026):
-    """coldet (permutation DFS) vs coldet_laplace on random matrices
-    over all engines: scalar, Weyl, PBW and swap."""
-    t0 = time.monotonic()
-    rng = random.Random(seed)
+def _random_entry_engines(rng):
+    """(ring, random entry) for each engine the coldet oracle covers:
+    scalar, Weyl, PBW gl_2 and swap."""
     gens = weyl.GeneratorSet(["x1", "x2", "x3"])
-    wring = weyl.weyl_ring(gens)
     g2 = pbw.build_gln(2)
     pring = g2.ring()
     table = swapalg.SwapTable(
@@ -867,31 +857,29 @@ def verify_oracle_coldet(count=200, seed=2026):
                   frozenset({"q", "r"}): "commute",
                   frozenset({"p", "r"}): "commute"},
     )
-    sring = table.ring()
-    from .ringapi import COEFFICIENT_RING
+    return [
+        (COEFFICIENT_RING, lambda: _random_coefficient(rng)),
+        (weyl.weyl_ring(gens), lambda: _random_weyl(rng, gens, terms=2)),
+        (pring, lambda: g2.generator(rng.choice(g2.basis)).scale(
+            _random_coefficient(rng, gaussian=False)
+        ) + pring.from_coefficient(_random_coefficient(rng))),
+        (table.ring(), lambda: table.letter(rng.choice(table.letters)).scale(
+            _random_coefficient(rng))),
+    ]
 
+
+def verify_oracle_coldet(count=200, seed=2026):
+    """coldet (Laplace) vs the reference coldet_permutations on random
+    matrices over all engines: scalar, Weyl, PBW and swap."""
+    t0 = time.monotonic()
+    rng = random.Random(seed)
+    engines = _random_entry_engines(rng)
     checked = 0
     for trial in range(count):
-        engine = trial % 4
+        ring, entry = engines[trial % 4]
         size = 2 + (trial % 2)
-        if engine == 0:
-            ring = COEFFICIENT_RING
-            entry = lambda: _random_coefficient(rng)
-        elif engine == 1:
-            ring = wring
-            entry = lambda: _random_weyl(rng, gens, terms=2)
-        elif engine == 2:
-            ring = pring
-            entry = lambda: g2.generator(rng.choice(g2.basis)).scale(
-                _random_coefficient(rng, gaussian=False)
-            ) + pring.from_coefficient(_random_coefficient(rng))
-        else:
-            ring = sring
-            entry = lambda: table.letter(rng.choice(table.letters)).scale(
-                _random_coefficient(rng)
-            )
         M = mo.matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
-        if not (mo.coldet(M) - mo.coldet_laplace(M)).is_zero():
+        if not (mo.coldet(M) - mo.coldet_permutations(M)).is_zero():
             return bool_report(
                 "oracle.coldet", "mixed", {"count": count}, False, t0,
                 detail=f"disagreement at trial {trial}",

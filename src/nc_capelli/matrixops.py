@@ -1,8 +1,9 @@
 """Matrices over any ring satisfying the ring contract.
 
-Provides the column determinant (both permutation expansion and Laplace
-recursion), decomplexification, the CorrTriDiag correction blocks and
-the multi-index machinery used by the rectangular identities.
+Provides the column determinant (a Laplace recursion that computes each
+minor once, with a permutation expansion kept as its reference),
+decomplexification, the CorrTriDiag correction blocks and the
+multi-index machinery used by the rectangular identities.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import combinations
 from operator import mul
 
 from .ringapi import im_part, re_part
-from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
+from .scalars import C_I_QUARTER, C_QUARTER, Coefficient, accumulate
 
 
 class RingMatrix:
@@ -98,18 +99,21 @@ def matmul(A, B):
     return RingMatrix(A.ring, out)
 
 
-def scale(M, c):
-    return RingMatrix(M.ring, [[e.scale(c) for e in row] for row in M.entries])
-
-
 def coldet(M):
     """Column determinant: sum over permutations sigma of
     sgn(sigma) * M[sigma(1),1] * M[sigma(2),2] * ... with the products
-    taken column by column, left to right.
+    taken column by column, left to right (see _laplace)."""
+    return _laplace(M, M.ring.one, mul)
 
-    Implemented as a depth-first permutation expansion over columns with
-    shared prefix products; accumulation order is deterministic.
-    """
+
+# perfbench/spans.py traces this name; it is coldet itself.
+coldet_laplace = coldet
+
+
+def coldet_permutations(M):
+    """The column determinant by depth-first permutation expansion over
+    columns with shared prefix products: the independent reference that
+    oracle.coldet and the tests check coldet against."""
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")
     n = M.rows
@@ -138,44 +142,39 @@ def coldet(M):
     return total[0]
 
 
-def coldet_laplace(M):
-    """Column determinant via recursive expansion along the first column
-    (memoized on the surviving row set); must agree with coldet."""
-    return _laplace(M, M.ring.one, mul)
-
-
 def _laplace(M, leaf, act):
-    """Memoized Laplace recursion along the first column: the minor on
-    no rows is ``leaf``, and an entry e enters its column's expansion as
-    ``act(e, minor)``.  With ``leaf`` the unit and ``act`` the product
-    this is the column determinant; with a polynomial and ``apply`` it
-    is the determinant's action on that polynomial."""
+    """Laplace recursion along the first column, built bottom-up: the
+    minor on no rows is ``leaf``, and an entry e enters its column's
+    expansion as ``act(e, minor)``.  With ``leaf`` the unit and ``act``
+    the product this is the column determinant; with a polynomial and
+    ``apply`` it is the determinant's action on that polynomial.
+
+    The minors of one column are computed from those of the next and
+    then replace them, so only two columns of minors are ever held.
+    Each entry acts one term at a time, summed in place into one dict:
+    next to the running sum sits one term's product, never the whole
+    entry's product or a copy of the sum (this bounds peak memory).
+    """
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")
     n = M.rows
     entries = M.entries
-    zero = M.ring.zero
-    memo = {}
-
-    def minor(rows):
-        # rows: tuple of surviving row indices; column = n - len(rows)
-        if not rows:
-            return leaf
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        acc = zero
-        for pos, row in enumerate(rows):
-            e = entries[row][col]
-            if e.is_zero():
-                continue
-            sub = act(e, minor(rows[:pos] + rows[pos + 1 :]))
-            acc = acc + sub if pos % 2 == 0 else acc - sub
-        memo[rows] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+    minors = {(): leaf}  # surviving rows -> minor on columns col..n-1
+    for col in range(n - 1, -1, -1):
+        bigger = {}
+        for rows in combinations(range(n), n - col):
+            out = {}
+            for pos, row in enumerate(rows):
+                e = entries[row][col]
+                sub = minors[rows[:pos] + rows[pos + 1 :]]
+                if e.is_zero() or sub.is_zero():
+                    continue
+                for mono, c in e.terms.items():
+                    term = e._new({mono: -c if pos % 2 else c})
+                    accumulate(out, act(term, sub).terms.items())
+            bigger[rows] = leaf._new(out)
+        minors = bigger
+    return minors[tuple(range(n))]
 
 
 def decomplexify(M):

@@ -222,7 +222,8 @@ def test_coldet_apply_matches_expanded_action(seed):
     rng = random.Random(seed)
     gens = weyl.GeneratorSet(["x", "y"])
     M = _random_weyl_matrix(rng, gens, 2 + seed % 2)
-    det = mo.coldet_laplace(M)
+    det = mo.coldet_permutations(M)
+    assert mo.coldet(M) == det
     actions = [(idn._coldet_apply(M, p), det.apply(p))
                for p in idn._monomials(gens, 3)]
     assert all(got == want for got, want in actions)

@@ -2,9 +2,11 @@
 decomplexification, correction blocks, multi-indexes."""
 
 import random
+from itertools import product
 
 import pytest
 
+from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import weyl
 from nc_capelli.ringapi import COEFFICIENT_RING
@@ -39,23 +41,31 @@ class TestColdet:
         # column order: M[0][0]*M[1][1] - M[1][0]*M[0][1] = x*x - dx
         assert mo.coldet(M) == x * x - dx
 
-    def test_laplace_agreement_random(self, wring):
-        gens, ring = wring
+    def test_laplace_agreement_random(self):
+        """coldet (Laplace) equals the reference permutation walk on
+        random matrices of size 0 to 4 over the scalar, Weyl, PBW gl_2
+        and swap engines, with zero entries, and with the last row
+        repeating the first."""
         rng = random.Random(7)
-        x = WeylElement.variable(gens, "x")
-        dx = WeylElement.derivative(gens, "x")
-        pool = [x, dx, x * dx, ring.one, ring.zero, x + dx]
-        for _ in range(25):
-            M = mo.matrix(
-                ring,
-                [[rng.choice(pool) for _ in range(3)] for _ in range(3)],
-            )
-            assert (mo.coldet(M) - mo.coldet_laplace(M)).is_zero()
+        for (ring, entry), size in product(idn._random_entry_engines(rng), range(5)):
+            dets = []
+            for trial in range(4):
+                rows = [[entry() if rng.random() < 0.75 else ring.zero
+                         for _ in range(size)] for _ in range(size)]
+                if trial % 2 and size >= 2:
+                    rows[-1] = list(rows[0])
+                M = mo.matrix(ring, rows)
+                dets.append(mo.coldet(M))
+                assert (dets[-1] - mo.coldet_permutations(M)).is_zero(), (
+                    ring.name, size, trial)
+            assert any(not d.is_zero() for d in dets), (ring.name, size)
 
     def test_rejects_non_square(self):
         M = mo.matrix(COEFFICIENT_RING, [[Coefficient.one()] * 2])
         with pytest.raises(ValueError):
             mo.coldet(M)
+        with pytest.raises(ValueError):
+            mo.coldet_permutations(M)
 
 
 class TestDecomplexify:

@@ -1,0 +1,62 @@
+"""Negative controls for the determinant-based verifier ids: with one
+helper perturbed for the duration of the call, each identity below is
+false, and its verifier must report a nonzero residual."""
+
+import pytest
+
+from nc_capelli import identities as idn
+from nc_capelli import matrixops as mo
+from nc_capelli.scalars import Coefficient
+
+
+def _shift_plus_one(real):
+    return lambda n: [s + Coefficient.one() for s in real(n)]
+
+
+def _zero_correction(real):
+    def corr_tridiag(ring, ds, sign="plus"):
+        size = 2 * len(ds)
+        return mo.matrix(ring, [[ring.zero] * size for _ in range(size)])
+    return corr_tridiag
+
+
+def _no_bar(real):
+    return lambda M: M
+
+
+# name: (module, helper, replacement built from the real helper)
+PERTURBATIONS = {
+    "capelli_shifts + 1": (idn, "capelli_shifts", _shift_plus_one),
+    "corr_tridiag = 0": (mo, "corr_tridiag", _zero_correction),
+    "mat_bar = identity": (idn, "mat_bar", _no_bar),
+}
+
+# (perturbation, verifier id and instance, verification)
+CASES = [
+    ("capelli_shifts + 1", "capelli.plain n=2",
+     lambda: idn.verify_classical_capelli("plain", 2)),
+    ("capelli_shifts + 1", "capelli.turnbull n=2",
+     lambda: idn.verify_classical_capelli("turnbull", 2)),
+    ("capelli_shifts + 1", "decomplex.square.plain n=2",
+     lambda: idn.verify_decomplexified_capelli("plain", 2)),
+    ("capelli_shifts + 1", "decomplex.square.symmetric n=2",
+     lambda: idn.verify_decomplexified_capelli("symmetric", 2)),
+    ("capelli_shifts + 1", "rect.capelli n=2 I=J=(1,)",
+     lambda: idn.verify_rectangular("capelli", 2, (1,), (1,))),
+    ("corr_tridiag = 0", "decomplex.square.plain n=2",
+     lambda: idn.verify_decomplexified_capelli("plain", 2)),
+    ("corr_tridiag = 0", "factorization.capelli n=2",
+     lambda: idn.verify_holfact_capelli(2)),
+    ("mat_bar = identity", "factorization.weak n=2",
+     lambda: idn.verify_thm_theor1(2)),
+]
+
+
+@pytest.mark.parametrize(
+    "perturbation, verify", [(p, v) for p, _, v in CASES],
+    ids=[f"{p}: {case}" for p, case, _ in CASES])
+def test_perturbed_identity_fails(monkeypatch, perturbation, verify):
+    module, name, replacement = PERTURBATIONS[perturbation]
+    assert verify().residualIsZero
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    assert not verify().residualIsZero
