@@ -2,30 +2,68 @@
 
 PBW normal form from structure constants, builders for gl_n and the
 doubled gl_n (+) gl_n-bar, Harish-Chandra projection and centrality
-checking.  Monomials are exponent vectors over a fixed ordered basis;
-products re-straighten via the structure constants, with the
-straightening of shared words memoized per algebra.
+checking.  PBW straightening is the swap-table normalizer of
+:mod:`swapalg` with one rule e_u e_v -> e_v e_u + [e_u, e_v] per descent
+u > v (the reduction system of Bergman's diamond lemma), so monomials
+are nondecreasing words over the ordered basis and the straightening of
+shared words is memoized per algebra.
 """
 
 from __future__ import annotations
 
-from .ringapi import Ring
-from .scalars import Coefficient, SparseElement, accumulate
+from itertools import groupby
 
-C_ONE = Coefficient.one()
+from .scalars import C_ONE, Coefficient, accumulate
+from .swapalg import SwapElement, SwapTable
 
 
-class LieAlgebraSpec:
+def _powers(word):
+    """(letter, exponent) pairs of a nondecreasing word."""
+    return ((g, len(tuple(run))) for g, run in groupby(word))
+
+
+class PbwElement(SwapElement):
+    """Sparse sum of PBW monomials (nondecreasing words) over a spec."""
+
+    __slots__ = ()
+
+    def split_by_param(self, name):
+        """Split terms by the power of a central parameter."""
+        out = {}
+        for m, c in self.terms.items():
+            for e, part in c.split_by_param(name).items():
+                out.setdefault(e, {})[m] = part
+        return {e: self._new(t) for e, t in out.items()}
+
+    def _render_order(self):
+        n = len(self.table.letters)
+
+        def degree_and_exponents(word):
+            exp = [0] * n
+            for g in word:
+                exp[g] += 1
+            return len(word), exp
+
+        return sorted(self.terms, key=degree_and_exponents, reverse=True)
+
+    def _render_monomial(self, word):
+        basis = self.table.letters
+        return "*".join(basis[g] if e == 1 else f"{basis[g]}^{e}"
+                        for g, e in _powers(word))
+
+
+class LieAlgebraSpec(SwapTable):
     """Ordered basis plus structure constants [e_u, e_v] for u > v.
 
     brackets: dict (u, v) -> dict w -> Coefficient, for u > v in the
     basis order; [e_v, e_u] is the negation, [e_u, e_u] = 0.
+    bar_pairs: as for :class:`SwapTable`, the bar involution.
     """
 
-    def __init__(self, basis, brackets, bar_map=None, gln_meta=None, validate=True):
-        self.basis = tuple(basis)
-        self.index = {name: k for k, name in enumerate(self.basis)}
-        self.n = len(self.basis)
+    element = PbwElement
+
+    def __init__(self, basis, brackets, bar_pairs=None, gln_meta=None):
+        basis = tuple(basis)
         self.brackets = {
             uv: {w: c for w, c in vec.items() if not c.is_zero()}
             for uv, vec in brackets.items()
@@ -33,11 +71,20 @@ class LieAlgebraSpec:
         for (u, v) in self.brackets:
             if not u > v:
                 raise ValueError("brackets must be keyed by (u, v) with u > v")
-        self.bar_map = bar_map  # index permutation for the bar involution
+        rules = {
+            (basis[u], basis[v]): [(C_ONE, (basis[v], basis[u]))] + [
+                (c, (basis[w],)) for w, c in self.brackets.get((u, v), {}).items()
+            ]
+            for u in range(len(basis)) for v in range(u)
+        }
+        super().__init__(basis, extra_rules=rules, bar_pairs=bar_pairs)
+        self.basis = self.letters
+        self.name = f"pbw({len(basis)} gens)"
         self.gln_meta = gln_meta  # {"n", "lowering", "cartan", "raising"}
-        self._memo = {}
-        if validate:
-            self.check_jacobi()
+
+    generator = SwapTable.letter
+    # perfbench/spans.py traces this name; it is normalize itself.
+    straighten = SwapTable.normalize
 
     def bracket(self, u, v):
         """[e_u, e_v] as a dict index -> Coefficient."""
@@ -56,10 +103,11 @@ class LieAlgebraSpec:
 
     def check_jacobi(self):
         """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 over all basis triples."""
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
+        n = len(self.letters)
+        for i in range(n):
+            for j in range(i + 1, n):
                 bij = self.bracket(i, j)
-                for k in range(j + 1, self.n):
+                for k in range(j + 1, n):
                     acc = {}
                     for part in (
                         self._bracket_elem(bij, k),
@@ -68,126 +116,12 @@ class LieAlgebraSpec:
                     ):
                         accumulate(acc, part.items())
                     if acc:
-                        names = (self.basis[i], self.basis[j], self.basis[k])
+                        names = (self.letters[i], self.letters[j], self.letters[k])
                         raise ValueError(f"Jacobi identity fails at {names}")
         return True
 
-    # --- straightening ------------------------------------------------
-
-    def straighten(self, word):
-        """Rewrite a word (tuple of basis indices) into PBW form;
-        returns dict exponent-vector -> Coefficient."""
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        pos = -1
-        for k in range(len(word) - 1):
-            if word[k] > word[k + 1]:
-                pos = k
-                break
-        if pos < 0:
-            exp = [0] * self.n
-            for g in word:
-                exp[g] += 1
-            result = {tuple(exp): C_ONE}
-        else:
-            u, v = word[pos], word[pos + 1]
-            result = dict(self.straighten(word[:pos] + (v, u) + word[pos + 2:]))
-            for w, c in self.bracket(u, v).items():
-                sub = self.straighten(word[:pos] + (w,) + word[pos + 2:])
-                accumulate(result, ((exp, c * c2) for exp, c2 in sub.items()))
-        self._memo[word] = result
-        return result
-
-    # --- element constructors ----------------------------------------
-
-    def generator(self, name):
-        exp = [0] * self.n
-        exp[self.index[name]] = 1
-        return PbwElement(self, {tuple(exp): C_ONE})
-
-    def zero(self):
-        return PbwElement(self, {})
-
-    def one(self):
-        return PbwElement(self, {(0,) * self.n: C_ONE})
-
-    def ring(self):
-        return Ring(
-            f"pbw({len(self.basis)} gens)",
-            self.zero(),
-            self.one(),
-            has_bar=self.bar_map is not None,
-        )
-
-
-class PbwElement(SparseElement):
-    """Sparse sum of PBW monomials (exponent vectors) over a spec."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec, terms):
-        self.spec = spec
-        self.terms = terms
-
-    def _word(self, exp):
-        out = []
-        for g, e in enumerate(exp):
-            out.extend([g] * e)
-        return tuple(out)
-
-    def _new(self, terms):
-        return PbwElement(self.spec, terms)
-
-    def _one(self):
-        return self.spec.one()
-
-    def __mul__(self, other):
-        spec = self.spec
-
-        def products():
-            for m1, c1 in self.terms.items():
-                w1 = self._word(m1)
-                for m2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for exp, f in spec.straighten(w1 + self._word(m2)).items():
-                        yield exp, c * f
-
-        return PbwElement(spec, accumulate({}, products()))
-
-    def bar(self):
-        if self.spec.bar_map is None:
-            raise TypeError("algebra has no bar involution")
-        terms = {}
-        for m, c in self.terms.items():
-            exp = [0] * self.spec.n
-            for g, e in enumerate(m):
-                exp[self.spec.bar_map[g]] = e
-            terms[tuple(exp)] = c.bar()
-        return PbwElement(self.spec, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PbwElement)
-            and self.spec is other.spec
-            and self.terms == other.terms
-        )
-
-    def split_by_param(self, name):
-        """Split terms by the power of a central parameter."""
-        out = {}
-        for m, c in self.terms.items():
-            for e, part in c.split_by_param(name).items():
-                out.setdefault(e, {})[m] = part
-        return {e: PbwElement(self.spec, t) for e, t in out.items()}
-
-    def _render_order(self):
-        return sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
-
-    def _render_monomial(self, mono):
-        basis = self.spec.basis
-        return "*".join(basis[g] if e == 1 else f"{basis[g]}^{e}"
-                        for g, e in enumerate(mono) if e)
+    # Jacobi is local confluence of the bracket rules (the diamond lemma)
+    _check = check_jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +185,10 @@ def build_doubled_gln(n):
     index = {name: k for k, name in enumerate(basis)}
     brackets = dict(_gln_brackets(n, index, fmt))
     brackets.update(_gln_brackets(n, index, fmtb))
-    bar_map = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            u, v = index[fmt(i, j)], index[fmtb(i, j)]
-            bar_map[u] = v
-            bar_map[v] = u
+    bar_pairs = [(fmt(i, j), fmtb(i, j))
+                 for i in range(1, n + 1) for j in range(1, n + 1)]
     meta = {"n": n, "doubled": True}
-    return LieAlgebraSpec(basis, brackets, bar_map=bar_map, gln_meta=meta)
+    return LieAlgebraSpec(basis, brackets, bar_pairs=bar_pairs, gln_meta=meta)
 
 
 def hc_projection(x):
@@ -270,30 +200,25 @@ def hc_projection(x):
     with a lowering factor move off the highest-weight line).  For
     non-central x it is still the triangular projection.
     """
-    meta = x.spec.gln_meta
+    meta = x.table.gln_meta
     if not meta or "cartan" not in meta:
         raise TypeError("hc_projection needs a gl_n algebra")
     lowering, cartan, raising = meta["lowering"], meta["cartan"], meta["raising"]
     out = Coefficient.zero()
-    for m, c in x.terms.items():
+    for word, c in x.terms.items():
+        if any(g in lowering or g in raising for g in word):
+            continue
         term = c
-        keep = True
-        for g, e in enumerate(m):
-            if not e:
-                continue
-            if g in lowering or g in raising:
-                keep = False
-                break
+        for g, e in _powers(word):
             term = term * Coefficient.param(f"lam{cartan[g]}", e)
-        if keep:
-            out = out + term
+        out = out + term
     return out
 
 
 def is_central(x):
     """True iff [x, e] = 0 for every basis generator e."""
-    for name in x.spec.basis:
-        g = x.spec.generator(name)
+    for name in x.table.basis:
+        g = x.table.generator(name)
         if not (x * g - g * x).is_zero():
             return False
     return True

@@ -151,9 +151,10 @@ class SparseElement:
     hashable monomial to a nonzero value, with one ``+``, ``-``, unary
     ``-``, ``scale``, ``**``, ``is_zero``, ``render`` and ``__repr__``.
 
-    ``Coefficient`` (values ``GaussianRational``) and the four engine
-    classes ``WeylElement``, ``PbwElement``, ``SwapElement`` and
-    ``ExteriorElement`` (values ``Coefficient``) build on it.  A subclass
+    ``Coefficient`` (values ``GaussianRational``) and the engine classes
+    ``WeylElement``, ``SwapElement`` (with its PBW subclass
+    ``PbwElement``) and ``ExteriorElement`` (values ``Coefficient``)
+    build on it.  A subclass
     must supply:
 
     - ``_new(terms)``: a sibling over the same generators, basis, table

@@ -2,13 +2,17 @@
 
 Three uses: the bar-graded local factorization checks (the psi/phi
 propositions), the abstract column-commuting factorization theorem, and
-the exterior (Grassmann) algebra over arbitrary host rings.
+the exterior (Grassmann) algebra over arbitrary host rings.  The word
+rewriter is also the PBW engine: ``pbw.LieAlgebraSpec`` is a table whose
+rules come from Lie brackets.
 
-Canonical form: each word is rewritten to the lexicographically least
-word reachable by policy-allowed adjacent swaps, with the accumulated
-sign folded into the coefficient; square-zero letters kill words, and
-tables may carry extra two-letter rewrite rules.  A Newman-style local
-confluence self-test runs at table construction on all letter triples.
+Canonical form: each word is rewritten by rules on adjacent letter pairs
+until none applies, with the accumulated coefficients folded in; the
+rewriting of shared words is memoized per table.  Pair policies give the
+lexicographically least word reachable by allowed swaps (with signs),
+square-zero letters kill words, and tables may carry extra two-letter
+rewrite rules.  A Newman-style local confluence self-test runs at table
+construction on all letter triples.
 """
 
 from __future__ import annotations
@@ -19,17 +23,71 @@ from .scalars import (
     C_I,
     C_I_QUARTER,
     C_INV_2I,
+    C_ONE,
     C_QUARTER,
     Coefficient,
     SparseElement,
     accumulate,
 )
 
-C_ONE = Coefficient.one()
-
 
 class NonConfluentTable(Exception):
     """The rewrite rules fail the local-confluence self-test."""
+
+
+class SwapElement(SparseElement):
+    """Sparse sum of canonical words with Coefficient coefficients."""
+
+    __slots__ = ("table", "terms")
+
+    def __init__(self, table, terms):
+        self.table = table
+        self.terms = terms
+
+    def _new(self, terms):
+        return type(self)(self.table, terms)
+
+    def _one(self):
+        return self.table.one()
+
+    def __mul__(self, other):
+        normalize = self.table.normalize
+
+        def products():
+            for w1, c1 in self.terms.items():
+                for w2, c2 in other.terms.items():
+                    c = c1 * c2
+                    for w, f in normalize(w1 + w2).items():
+                        yield w, c * f
+
+        return self._new(accumulate({}, products()))
+
+    def bar(self):
+        table = self.table
+        if not table.bar_map:
+            raise TypeError("algebra has no bar involution")
+
+        def images():
+            for w, c in self.terms.items():
+                cb = c.bar()
+                imaged = tuple(table.bar_map.get(k, k) for k in w)
+                for v, f in table.normalize(imaged).items():
+                    yield v, cb * f
+
+        return self._new(accumulate({}, images()))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SwapElement)
+            and self.table is other.table
+            and self.terms == other.terms
+        )
+
+    def _render_order(self):
+        return sorted(self.terms, key=lambda w: (len(w), w))
+
+    def _render_monomial(self, word):
+        return self.table.render_word(word) if word else ""
 
 
 class SwapTable:
@@ -44,10 +102,13 @@ class SwapTable:
               involution and the bigrading
     """
 
+    element = SwapElement
+
     def __init__(self, letters, policies=None, squares=None, extra_rules=None,
-                 bar_pairs=None, check=True):
+                 bar_pairs=None):
         self.letters = tuple(letters)
         self.index = {name: k for k, name in enumerate(self.letters)}
+        self.name = f"swap({','.join(self.letters)})"
         policies = policies or {}
         squares = squares or {}
         extra_rules = extra_rules or {}
@@ -86,8 +147,7 @@ class SwapTable:
             self.barred = frozenset(barred)
 
         self._memo = {}
-        if check:
-            self.check_confluence()
+        self._check()
 
     # --- rewriting ----------------------------------------------------
 
@@ -131,12 +191,19 @@ class SwapTable:
                             f"critical pair at {self.render_word((a, b, c))}"
                         )
 
+    _check = check_confluence
+
     def _reduce_once(self, word, pos):
         """Apply the rule at ``pos`` once, then normalize each result."""
         out = {}
         for coeff, repl in self.rules[(word[pos], word[pos + 1])]:
             sub = self.normalize(word[:pos] + repl + word[pos + 2:])
-            accumulate(out, ((w, coeff * c) for w, c in sub.items()))
+            if coeff == C_ONE:
+                # share the memoized coefficients: a product by the unit
+                # would store a fresh copy of each in every memo entry
+                accumulate(out, sub.items())
+            else:
+                accumulate(out, ((w, coeff * c) for w, c in sub.items()))
         return out
 
     def render_word(self, word):
@@ -145,72 +212,16 @@ class SwapTable:
     # --- element constructors ----------------------------------------
 
     def letter(self, name):
-        return SwapElement(self, {(self.index[name],): C_ONE})
+        return self.element(self, {(self.index[name],): C_ONE})
 
     def zero(self):
-        return SwapElement(self, {})
+        return self.element(self, {})
 
     def one(self):
-        return SwapElement(self, {(): C_ONE})
+        return self.element(self, {(): C_ONE})
 
     def ring(self):
-        return Ring(
-            f"swap({','.join(self.letters)})",
-            self.zero(),
-            self.one(),
-            has_bar=bool(self.bar_map),
-        )
-
-
-class SwapElement(SparseElement):
-    """Sparse sum of canonical words with Coefficient coefficients."""
-
-    __slots__ = ("table", "terms")
-
-    def __init__(self, table, terms):
-        self.table = table
-        self.terms = terms
-
-    def _new(self, terms):
-        return SwapElement(self.table, terms)
-
-    def _one(self):
-        return self.table.one()
-
-    def __mul__(self, other):
-        table = self.table
-
-        def products():
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for w, f in table.normalize(w1 + w2).items():
-                        yield w, c * f
-
-        return SwapElement(table, accumulate({}, products()))
-
-    def bar(self):
-        table = self.table
-        out = SwapElement(table, {})
-        for w, c in self.terms.items():
-            imaged = tuple(table.bar_map.get(k, k) for k in w)
-            out = out + SwapElement(table, {(): c.bar()}) * SwapElement(
-                table, {imaged: C_ONE}
-            )
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SwapElement)
-            and self.table is other.table
-            and self.terms == other.terms
-        )
-
-    def _render_order(self):
-        return sorted(self.terms, key=lambda w: (len(w), w))
-
-    def _render_monomial(self, word):
-        return self.table.render_word(word) if word else ""
+        return Ring(self.name, self.zero(), self.one(), has_bar=bool(self.bar_map))
 
 
 def bigrade_project(x, hol_degree, antihol_degree):

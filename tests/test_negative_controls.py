@@ -1,16 +1,22 @@
-"""Negative controls for the determinant-based verifier ids: with one
-helper perturbed for the duration of the call, each identity below is
-false, and its verifier must report a nonzero residual."""
+"""Negative controls for the determinant-, PBW- and swap-backed verifier
+ids: with one helper perturbed for the duration of the call, each
+identity below is false, and its verifier must report a nonzero
+residual."""
 
 import pytest
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
+from nc_capelli import swapalg
 from nc_capelli.scalars import Coefficient
 
 
 def _shift_plus_one(real):
     return lambda n: [s + Coefficient.one() for s in real(n)]
+
+
+def _shift_reversed(real):
+    return lambda n: real(n)[::-1]
 
 
 def _zero_correction(real):
@@ -24,11 +30,33 @@ def _no_bar(real):
     return lambda M: M
 
 
+def _commuting_bars(real):
+    """The psi/phi table with barred letters commuting with unbarred
+    ones instead of anticommuting."""
+    def psi_phi_table(extra_rules=None):
+        return swapalg.SwapTable(
+            ("psi", "phi", "psi_bar", "phi_bar"),
+            policies={frozenset({u, b}): "commute"
+                      for u in ("psi", "phi") for b in ("psi_bar", "phi_bar")},
+            extra_rules=extra_rules,
+            bar_pairs=[("psi", "psi_bar"), ("phi", "phi_bar")],
+        )
+    return psi_phi_table
+
+
+def _doubled_gl2_main():
+    (instance,) = idn.main_theorem_instances(2)
+    ds = [Coefficient.param("d2"), Coefficient.param("d1")]
+    return idn.verify_main_theorem(instance, ds)
+
+
 # name: (module, helper, replacement built from the real helper)
 PERTURBATIONS = {
     "capelli_shifts + 1": (idn, "capelli_shifts", _shift_plus_one),
+    "capelli_shifts reversed": (idn, "capelli_shifts", _shift_reversed),
     "corr_tridiag = 0": (mo, "corr_tridiag", _zero_correction),
     "mat_bar = identity": (idn, "mat_bar", _no_bar),
+    "barred letters commute": (swapalg, "psi_phi_table", _commuting_bars),
 }
 
 # (perturbation, verifier id and instance, verification)
@@ -49,6 +77,14 @@ CASES = [
      lambda: idn.verify_holfact_capelli(2)),
     ("mat_bar = identity", "factorization.weak n=2",
      lambda: idn.verify_thm_theor1(2)),
+    ("capelli_shifts reversed", "center.capelli n=2",
+     lambda: idn.verify_capelli_center(2)),
+    ("capelli_shifts + 1", "center.hc n=2",
+     lambda: idn.verify_hc_image(2)),
+    ("corr_tridiag = 0", "factorization.main doubled gl_2",
+     _doubled_gl2_main),
+    ("barred letters commute", "factorization.local plus",
+     lambda: idn.verify_local_factorization("plus")),
 ]
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nc_capelli import pbw
+from nc_capelli import cli, pbw, swapalg
 from nc_capelli.ringapi import commutator
 from nc_capelli.scalars import Coefficient
 
@@ -54,6 +54,61 @@ class TestStructureConstants:
             assert ((a * b) * c - a * (b * c)).is_zero()
 
 
+def _product(spec, *factors):
+    out = spec.one()
+    for name in factors:
+        out = out * spec.generator(name)
+    return out
+
+
+class TestRendering:
+    """Terms print in descending (degree, exponent vector) order, with
+    repeated letters grouped into powers."""
+
+    @pytest.mark.parametrize("n, factors, minus, text", [
+        (2, ("E21", "E12", "E11", "E11"), "E22",
+         "E21*E11^2*E12 - 2*E21*E11*E12 + E21*E12 - E22"),
+        (2, ("E12", "E12", "E21"), None,
+         "E21*E12^2 + 2*E11*E12 - 2*E22*E12 - 2*E12"),
+        (3, ("E13", "E31", "E22"), None,
+         "E31*E22*E13 + E11*E22 - E22*E33"),
+        (3, ("E32", "E21", "E13", "E11"), None,
+         "E21*E32*E11*E13 - E21*E32*E13 + E31*E11*E13 - E31*E13"),
+        (3, ("E23", "E23", "E32"), None,
+         "E32*E23^2 + 2*E22*E23 - 2*E33*E23 - 2*E23"),
+    ])
+    def test_products(self, n, factors, minus, text):
+        g = pbw.build_gln(n)
+        x = _product(g, *factors)
+        if minus:
+            x = x - g.generator(minus)
+        assert x.render() == text
+
+    def test_doubled_bar_of_mixed_product(self):
+        g = pbw.build_doubled_gln(2)
+        i = Coefficient.i()
+        x = (_product(g, "E12", "Eb21", "E21").scale(i)
+             + _product(g, "Eb11", "Eb11").scale(C(2)) + g.generator("E22"))
+        assert x.render() == (
+            "i*E21*E12*Eb21 + i*E11*Eb21 - i*E22*Eb21 + 2*Eb11^2 + E22")
+        assert x.bar().render() == (
+            "-i*E21*Eb21*Eb12 - i*E21*Eb11 + i*E21*Eb22 + 2*E11^2 + Eb22")
+
+    @pytest.mark.parametrize("context, text, out", [
+        ("gl2", "E12^2*E21", "E21*E12^2 + 2*E11*E12 - 2*E22*E12 - 2*E12"),
+        ("gl2", "(E11 + i*E22)*E12*E21",
+         "E21*E11*E12 + i*E21*E22*E12 + (-1+i)*E21*E12 + E11^2"
+         " + (-1+i)*E11*E22 - i*E22^2"),
+        ("swap", "(psi + i*phi)*(phi_bar - psi_bar)*psi",
+         "psi*psi*psi_bar - psi*psi*phi_bar + i*phi*psi*psi_bar"
+         " - i*phi*psi*phi_bar"),
+        ("swap", "phi*psi*phi", "phi*psi*phi"),
+    ])
+    def test_expand_output(self, capsys, context, text, out):
+        assert cli.main(["expand", "--context", context, text]) == 0
+        assert capsys.readouterr().out.strip() == out
+
+
 class TestDoubled:
     def test_bar_copy_commutes(self):
         g = pbw.build_doubled_gln(2)
@@ -63,6 +118,14 @@ class TestDoubled:
         g = pbw.build_doubled_gln(2)
         assert g.generator("E12").bar() == g.generator("Eb12")
         assert g.generator("Eb12").bar() == g.generator("E12")
+
+    @pytest.mark.parametrize("element", [
+        lambda: pbw.build_gln(2).generator("E12"),
+        lambda: swapalg.SwapTable(["p", "q"]).letter("p"),
+    ], ids=["pbw", "swap"])
+    def test_bar_needs_a_bar_map(self, element):
+        with pytest.raises(TypeError):
+            element().bar()
 
     def test_barred_bracket(self):
         g = pbw.build_doubled_gln(2)
@@ -131,3 +194,12 @@ class TestLoadStructureConstants:
         assert commutator(h, e) == e.scale(2)
         assert commutator(h, f) == f.scale(-2)
         assert g.check_jacobi()
+
+    def test_jacobi_failure_rejected(self):
+        bad = "\n".join([
+            "basis: a b c",
+            "bracket: b a a 1",
+            "bracket: c b b 1",
+        ])
+        with pytest.raises(ValueError, match="Jacobi"):
+            pbw.load_structure_constants(bad)
