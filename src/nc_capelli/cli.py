@@ -27,6 +27,10 @@ VERSION = __version__
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+# In the weyl context, dX is the derivative of X when X is a variable
+# named by one letter and an optional index (x, y2, x11) that the
+# expression also uses; every other name (delta, dx alone) is a variable.
+_DERIVATIVE_RE = re.compile(r"d([A-Za-z]\d*)")
 
 
 def _tokenize(text):
@@ -137,17 +141,15 @@ class ExpandContext:
     def expand(self, text):
         tokens = _tokenize(text)
         if self.name == "weyl":
-            names = sorted({
-                t[1:] if t.startswith("d") and len(t) > 1 else t
-                for t in tokens
-                if t[:1].isalpha() and t not in ("i",) and t != "**"
-            })
-            gens = weyl.GeneratorSet(names)
+            names = {t for t in tokens if t[:1].isalpha() and t != "i"}
+            derivs = {t: m[1] for t in names
+                      if (m := _DERIVATIVE_RE.fullmatch(t)) and m[1] in names}
+            gens = weyl.GeneratorSet(sorted(names - derivs.keys()))
             ring = weyl.weyl_ring(gens)
 
             def resolve(tok):
-                if tok.startswith("d") and tok[1:] in gens.index:
-                    return weyl.WeylElement.derivative(gens, tok[1:])
+                if tok in derivs:
+                    return weyl.WeylElement.derivative(gens, derivs[tok])
                 if tok in gens.index:
                     return weyl.WeylElement.variable(gens, tok)
                 raise ValueError(f"unknown name {tok!r}")

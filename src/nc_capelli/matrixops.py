@@ -9,7 +9,7 @@ multi-index machinery used by the rectangular identities.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import mul
+from operator import add, mul, sub
 
 from .ringapi import im_part, re_part
 from .scalars import C_I_QUARTER, C_QUARTER, Coefficient, accumulate
@@ -31,27 +31,19 @@ class RingMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return RingMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return RingMatrix(self.ring, [
+            [op(a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return RingMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(other, sub)
 
     def __repr__(self):
         return f"<RingMatrix {self.rows}x{self.cols} over {self.ring.name}>"
@@ -62,10 +54,7 @@ def matrix(ring, entries):
 
 
 def identity(ring, n):
-    return RingMatrix(
-        ring,
-        [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-    )
+    return diag(ring, [ring.one] * n)
 
 
 def diag(ring, values):

@@ -1,26 +1,21 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals and sparse
-polynomials in named central parameters, and the sparse-sum core
-(:class:`SparseElement`, :func:`accumulate`) that the polynomials and
-every algebra engine build on.
+"""Exact scalar arithmetic: Gaussian rationals, sparse polynomials in
+named central parameters, and the sparse-sum core (:class:`SparseElement`,
+:func:`accumulate`) that the polynomials and every algebra engine build on.
 
 Everything here is an immutable value with exact arithmetic; the ground
 field is the rationals extended by a formal ``i`` with ``i**2 == -1``.
-The "bar" involution conjugates ``i`` and fixes every parameter (the
-parameters model real central scalars).
+A Gaussian rational is three Python ints in lowest terms, so its
+arithmetic is integer arithmetic with one ``gcd`` per result at most;
+``fractions.Fraction`` appears only at the edges (input, ``re``/``im``,
+rendering).  The "bar" involution conjugates ``i`` and fixes every
+parameter (the parameters model real central scalars).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-try:  # gmpy2's mpq is substantially faster; Fraction is the fallback.
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
-
-RAT_ZERO = RAT(0)
-RAT_ONE = RAT(1)
+from math import gcd, lcm
 
 # Parameter names are drawn from a fixed universe: a handful of plain
 # letters plus the indexed families d1, d2, ... and lam1, lam2, ...
@@ -34,99 +29,127 @@ def _check_param(name):
 
 
 def rat(value, den=None):
-    """Coerce to the exact rational type (int, Fraction, or 'p/q' text)."""
-    if den is not None:
-        return RAT(value, den)
-    if isinstance(value, str):
-        if "/" in value:
-            p, q = value.split("/")
-            return RAT(int(p), int(q))
-        return RAT(int(value))
-    return RAT(value)
+    """Coerce to an exact rational (int, Fraction, or 'p/q' text)."""
+    return Fraction(value) if den is None else Fraction(value, den)
 
 
 class GaussianRational:
-    """An element a + b*i of Q[i], with exact rational a, b."""
+    """An element (p + q*i)/d of Q[i], held as three Python ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: ``d > 0`` and ``gcd(p, q, d) == 1``, so ``==``
+    and ``hash`` compare the fields.  ``GaussianRational(re, im)`` takes
+    an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
+    ``im`` read the parts back as ``Fraction``s.
+    """
 
-    def __init__(self, re=RAT_ZERO, im=RAT_ZERO):
-        self.re = RAT(re)
-        self.im = RAT(im)
+    __slots__ = ("p", "q", "d")
 
-    @staticmethod
-    def _make(re, im):
-        """Internal constructor bypassing coercion (re, im already RAT)."""
-        g = GaussianRational.__new__(GaussianRational)
-        g.re = re
-        g.im = im
-        return g
+    def __init__(self, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        # both parts are in lowest terms, so over their lcm the triple is
+        self.d = d = lcm(re.denominator, im.denominator)
+        self.p = re.numerator * (d // re.denominator)
+        self.q = im.numerator * (d // im.denominator)
+
+    @property
+    def re(self):
+        return Fraction(self.p, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.q, self.d)
 
     def __add__(self, other):
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p + other.p, self.q + other.q, d)
+        return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     def __sub__(self, other):
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.p - other.p, self.q - other.q, d)
+        return _make(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __neg__(self):
-        return GaussianRational._make(-self.re, -self.im)
+        return _fields(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        a, b = self.re, self.im
-        c, d = other.re, other.im
+        a, b = self.p, self.q
+        c, e = other.p, other.q
+        d = self.d * other.d
         if not b:
-            return GaussianRational._make(a * c, a * d)
-        if not d:
-            return GaussianRational._make(a * c, b * c)
-        return GaussianRational._make(a * c - b * d, a * d + b * c)
+            return _make(a * c, a * e, d)
+        if not e:
+            return _make(a * c, b * c, d)
+        return _make(a * c - b * e, a * e + b * c, d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        p, q, d = self.p, self.q, self.d
+        n = p * p + q * q
+        if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(d * p, -d * q, n)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _fields(self.p, -self.q, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.p and not self.q
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GaussianRational)
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return (isinstance(other, GaussianRational) and self.p == other.p
+                and self.q == other.q and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.p, self.q, self.d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def render(self):
         """Text form: "p/q", "b*i", or "a+b*i" / "a-b*i"."""
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        itxt = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{itxt}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        itxt = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        if not re:
+            return itxt if im > 0 else "-" + itxt
+        return f"{re}{'+' if im > 0 else '-'}{itxt}"
 
+
+def _fields(p, q, d):
+    """A GaussianRational from canonical fields (``_make`` inlines it)."""
+    g = _new_gauss(GaussianRational)
+    g.p = p
+    g.q = q
+    g.d = d
+    return g
+
+
+def _make(p, q, d):
+    """(p + q*i)/d, for ints with d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    g = _new_gauss(GaussianRational)
+    g.p = p
+    g.q = q
+    g.d = d
+    return g
+
+
+_new_gauss = object.__new__
 
 G_ZERO = GaussianRational()
-G_ONE = GaussianRational(RAT_ONE)
-G_I = GaussianRational(RAT_ZERO, RAT_ONE)
+G_ONE = GaussianRational(1)
+G_I = GaussianRational(0, 1)
 
 
 def accumulate(out, items):
@@ -299,7 +322,7 @@ class Coefficient(SparseElement):
         r = rat(value, den)
         if r == 0:
             return Coefficient({})
-        return Coefficient({(): GaussianRational(r)})
+        return Coefficient({(): _fields(r.numerator, 0, r.denominator)})
 
     @staticmethod
     def from_gaussian(g):
@@ -422,5 +445,5 @@ C_I = Coefficient.i()
 C_HALF = Coefficient.from_rational(1, 2)
 C_QUARTER = Coefficient.from_rational(1, 4)
 # 1/(2i) = -i/2, used throughout the real/imaginary part decompositions.
-C_INV_2I = Coefficient.from_gaussian(GaussianRational(RAT_ZERO, RAT(-1, 2)))
-C_I_QUARTER = Coefficient.from_gaussian(GaussianRational(RAT_ZERO, RAT(1, 4)))
+C_INV_2I = Coefficient.from_gaussian(GaussianRational(0, Fraction(-1, 2)))
+C_I_QUARTER = Coefficient.from_gaussian(GaussianRational(0, Fraction(1, 4)))

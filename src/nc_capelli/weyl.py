@@ -11,6 +11,7 @@ holomorphic and antiholomorphic elements then hold automatically.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb, perm
 
@@ -54,24 +55,9 @@ class GeneratorSet:
         return f"GeneratorSet({list(self.names)})"
 
 
-_INT_COEFF_CACHE = {}
-_INT_GAUSS_CACHE = {}
-
-
-def _int_coeff(n):
-    c = _INT_COEFF_CACHE.get(n)
-    if c is None:
-        c = Coefficient.from_rational(n)
-        _INT_COEFF_CACHE[n] = c
-    return c
-
-
-def _int_gauss(n):
-    g = _INT_GAUSS_CACHE.get(n)
-    if g is None:
-        g = GaussianRational(n)
-        _INT_GAUSS_CACHE[n] = g
-    return g
+# The integer n as a Coefficient and as a GaussianRational.
+_int_coeff = cache(Coefficient.from_rational)
+_int_gauss = cache(GaussianRational)
 
 
 class WeylElement(SparseElement):

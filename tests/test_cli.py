@@ -21,6 +21,19 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "x11*dx11 + 1"
 
+    @pytest.mark.parametrize("text, expanded", [
+        ("dx * x", "x*dx + 1"),
+        ("delta * elta", "delta*elta"),
+        ("elta * delta", "delta*elta"),
+        ("delta * x", "delta*x"),
+    ])
+    def test_weyl_derivative_names(self, capsys, text, expanded):
+        """dX is a derivative only for a variable X of the expression
+        named by a letter and an optional index; delta is a variable."""
+        code, out, _ = run_cli(["expand", "--context", "weyl", text], capsys)
+        assert code == 0
+        assert out.strip() == expanded
+
     def test_gl2(self, capsys):
         code, out, _ = run_cli(
             ["expand", "--context", "gl2", "E12*E21"], capsys)

@@ -71,8 +71,16 @@ CASES = [
      lambda: idn.verify_decomplexified_capelli("symmetric", 2)),
     ("capelli_shifts + 1", "rect.capelli n=2 I=J=(1,)",
      lambda: idn.verify_rectangular("capelli", 2, (1,), (1,))),
+    ("capelli_shifts + 1", "rect.turnbull n=2 I=J=(1,)",
+     lambda: idn.verify_rectangular("turnbull", 2, (1,), (1,))),
+    ("capelli_shifts + 1", "decomplex.square.antisymmetric n=2",
+     lambda: idn.verify_decomplexified_capelli("antisymmetric", 2)),
     ("corr_tridiag = 0", "decomplex.square.plain n=2",
      lambda: idn.verify_decomplexified_capelli("plain", 2)),
+    ("corr_tridiag = 0", "css.capelli css n=2",
+     lambda: idn.verify_css_capelli("css", 2)),
+    ("corr_tridiag = 0", "css.capelli tcss n=2",
+     lambda: idn.verify_css_capelli("tcss", 2)),
     ("corr_tridiag = 0", "factorization.capelli n=2",
      lambda: idn.verify_holfact_capelli(2)),
     ("mat_bar = identity", "factorization.weak n=2",

@@ -1,12 +1,13 @@
 """Exact scalar layer: Gaussian rationals with formal parameters."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nc_capelli.scalars import Coefficient, GaussianRational, rat
+from nc_capelli.scalars import G_ONE, Coefficient, GaussianRational, _make, rat
 
 
 def C(value, den=None):
@@ -47,6 +48,75 @@ class TestGaussianRational:
     def test_conjugate(self):
         a = GaussianRational(rat(2), rat(3))
         assert a.conjugate() == GaussianRational(rat(2), rat(-3))
+
+
+# Small, mixed and large denominators, so that sums and products meet
+# both the same-denominator path and the cross-multiplied one.
+rationals = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(max_denominator=12),
+    st.fractions(min_value=-10**12, max_value=10**12,
+                 max_denominator=10**15),
+)
+gaussians = st.tuples(rationals, rationals)
+
+
+def _reference_render(a, b):
+    """The text of a + b*i, built from the Fraction pair alone."""
+    if b == 0:
+        return str(a)
+    itxt = "i" if abs(b) == 1 else f"{abs(b)}*i"
+    if a == 0:
+        return itxt if b > 0 else "-" + itxt
+    return f"{a}{'+' if b > 0 else '-'}{itxt}"
+
+
+def _agrees(x, ref):
+    """x equals the Fraction pair ref and is in canonical form."""
+    assert (x.re, x.im) == ref
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    assert x.render() == _reference_render(*ref)
+
+
+class TestGaussianDifferential:
+    """GaussianRational against a pair of Fractions as the reference."""
+
+    @given(gaussians, gaussians)
+    @settings(max_examples=300, deadline=None)
+    def test_ring_operations(self, u, v):
+        (a, b), (c, d) = u, v
+        x, y = GaussianRational(a, b), GaussianRational(c, d)
+        _agrees(x, (a, b))
+        _agrees(x + y, (a + c, b + d))
+        _agrees(x - y, (a - c, b - d))
+        _agrees(x * y, (a * c - b * d, a * d + b * c))
+        _agrees(-x, (-a, -b))
+        _agrees(x.conjugate(), (a, -b))
+        n = c * c + d * d
+        if n:
+            _agrees(y.inverse(), (c / n, -d / n))
+            _agrees(x / y, ((a * c + b * d) / n, (b * c - a * d) / n))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+
+    @given(gaussians, gaussians)
+    @settings(max_examples=200, deadline=None)
+    def test_routes_meet(self, u, v):
+        x, y = GaussianRational(*u), GaussianRational(*v)
+        for z in ((x + y) - y, (x * y) + x - x * y, -(-x)):
+            assert z == x and hash(z) == hash(x)
+        if not y.is_zero():
+            z = x * y * y.inverse()
+            assert z == x and hash(z) == hash(x)
+
+    def test_equal_values_are_equal(self):
+        half = GaussianRational("1/2")
+        assert half + half == G_ONE and hash(half + half) == hash(G_ONE)
+        assert _make(2, 0, 4) == half and hash(_make(2, 0, 4)) == hash(half)
+        assert _make(6, -4, 2) == GaussianRational(3, -2)
+        assert _make(0, 0, 7) == GaussianRational()
+        assert GaussianRational(Fraction(1, 6), Fraction(1, 4)).d == 12
 
 
 class TestCoefficient:
