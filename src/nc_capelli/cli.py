@@ -122,52 +122,34 @@ class _Parser:
         return self.resolve(tok)
 
 
-class ExpandContext:
-    """Name resolution for the expand subcommand."""
+def expand(context, text):
+    """Parse ``text`` with the names of ``context`` ("weyl", "gl2" or
+    "swap") and return its canonical form."""
+    tokens = _tokenize(text)
+    if context == "weyl":
+        known = {t for t in tokens if t[:1].isalpha() and t != "i"}
+        derivs = {t: m[1] for t in known
+                  if (m := _DERIVATIVE_RE.fullmatch(t)) and m[1] in known}
+        gens = weyl.GeneratorSet(sorted(known - derivs.keys()))
+        ring = weyl.weyl_ring(gens)
 
-    def __init__(self, name):
-        self.name = name
-        if name == "gl2":
-            self.spec = pbw.build_gln(2)
-            self.ring = self.spec.ring()
-        elif name == "swap":
-            self.table = swapalg.psi_phi_table()
-            self.ring = self.table.ring()
-        elif name == "weyl":
-            self.ring = None  # built per expression
-        else:
-            raise ValueError(f"unknown context {name!r}")
+        def element(tok):
+            if tok in derivs:
+                return weyl.WeylElement.derivative(gens, derivs[tok])
+            return weyl.WeylElement.variable(gens, tok)
+    elif context in ("gl2", "swap"):
+        table = pbw.build_gln(2) if context == "gl2" else swapalg.psi_phi_table()
+        ring = table.ring()
+        known, element = table.index, table.letter
+    else:
+        raise ValueError(f"unknown context {context!r}")
 
-    def expand(self, text):
-        tokens = _tokenize(text)
-        if self.name == "weyl":
-            names = {t for t in tokens if t[:1].isalpha() and t != "i"}
-            derivs = {t: m[1] for t in names
-                      if (m := _DERIVATIVE_RE.fullmatch(t)) and m[1] in names}
-            gens = weyl.GeneratorSet(sorted(names - derivs.keys()))
-            ring = weyl.weyl_ring(gens)
+    def resolve(tok):
+        if tok not in known:
+            raise ValueError(f"unknown name {tok!r}")
+        return element(tok)
 
-            def resolve(tok):
-                if tok in derivs:
-                    return weyl.WeylElement.derivative(gens, derivs[tok])
-                if tok in gens.index:
-                    return weyl.WeylElement.variable(gens, tok)
-                raise ValueError(f"unknown name {tok!r}")
-        elif self.name == "gl2":
-            ring = self.ring
-
-            def resolve(tok):
-                if tok in self.spec.index:
-                    return self.spec.generator(tok)
-                raise ValueError(f"unknown name {tok!r}")
-        else:
-            ring = self.ring
-
-            def resolve(tok):
-                if tok in self.table.index:
-                    return self.table.letter(tok)
-                raise ValueError(f"unknown name {tok!r}")
-        return _Parser(tokens, resolve, ring).parse()
+    return _Parser(tokens, resolve, ring).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +179,12 @@ def _report_sort_key(d):
 
 def run_suite(selection, config, workers=1, fail_fast=False,
               strict_conditional=False, out=None):
-    """Run the selected verifiers; returns (exit_code, report_dicts).
-    With fail_fast the run stops after the first id (in sorted order)
-    with a hard failure, whatever the number of workers."""
+    """Run the selected verifiers (ids of identities.REGISTRY); returns
+    (exit_code, report_dicts).  With fail_fast the run stops after the
+    first id (in sorted order) with a hard failure, whatever the number
+    of workers."""
     if out is None:
         out = sys.stdout
-    unknown = [v for v in selection if v not in identities.REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown verifier ids: {', '.join(unknown)}")
 
     def hard_fail(r):
         return not r["residualIsZero"] and (strict_conditional or not r["conditional"])
@@ -266,8 +246,8 @@ def main(argv=None):
 
     if args.command == "expand":
         try:
-            element = ExpandContext(args.context).expand(args.expression)
-        except ValueError as e:
+            element = expand(args.context, args.expression)
+        except (ValueError, RecursionError) as e:  # or nested too deep
             print(f"parse error: {e}", file=sys.stderr)
             return 2
         print(element.render())
@@ -287,6 +267,11 @@ def main(argv=None):
         if not selection:
             print("error: empty suite selection", file=sys.stderr)
             return 2
+        unknown = [v for v in selection if v not in identities.REGISTRY]
+        if unknown:
+            print(f"error: unknown verifier ids: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
 
     max_n = args.max_n if args.max_n is not None else (3 if args.extended else 2)
     if max_n < 1 or max_n > 3:
@@ -305,16 +290,20 @@ def main(argv=None):
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
 
+    if args.json_path:
+        try:  # fail before the run; "a" keeps an existing file intact
+            open(args.json_path, "a").close()
+        except OSError as e:
+            print(f"error: cannot write --json {args.json_path}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
+
     config = {"max_n": max_n, "signs": args.signs, "extended": args.extended}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    try:
-        code, reports = run_suite(
-            selection, config, workers=workers, fail_fast=args.fail_fast,
-            strict_conditional=args.strict_conditional,
-        )
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return 2
+    code, reports = run_suite(
+        selection, config, workers=workers, fail_fast=args.fail_fast,
+        strict_conditional=args.strict_conditional,
+    )
 
     if args.json_path:
         payload = {

@@ -381,13 +381,6 @@ def verify_classical_capelli(kind, n):
     )
 
 
-def _coldet_apply(M, p):
-    """Apply the operator coldet(M) to the polynomial p without
-    expanding the determinant (the Laplace recursion of coldet,
-    entries acting right-to-left)."""
-    return mo._laplace(M, p, weyl.WeylElement.apply)
-
-
 def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):
     """Residual-is-zero for the raw-transpose reading, by operator
     action: scan low-degree monomials for a distinguishing witness
@@ -396,7 +389,8 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet(ZR)
     ddet = mo.coldet(alt)
-    if not all((_coldet_apply(lhsM, p) - zdet * ddet.apply(p)).is_zero()
+    act = weyl.WeylElement.apply  # coldet(lhsM) acts, never expanded
+    if not all((mo._laplace(lhsM, p, act) - zdet * ddet.apply(p)).is_zero()
                for p in _monomials(gens, max_degree)):
         return False
     return (mo.coldet(lhsM) - zdet * ddet).is_zero()

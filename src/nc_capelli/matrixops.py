@@ -27,10 +27,6 @@ class RingMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
-    def __getitem__(self, pos):
-        i, j = pos
-        return self.entries[i][j]
-
     def _entrywise(self, other, op):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -168,9 +164,8 @@ def _laplace(M, leaf, act):
 
 def decomplexify(M):
     """Real form M^R: each entry m becomes the 2x2 block
-    [[Re m, Im m], [-Im m, Re m]]."""
-    if not M.ring.has_bar:
-        raise TypeError("decomplexify requires a ring with bar")
+    [[Re m, Im m], [-Im m, Re m]]; a ring without a bar raises
+    TypeError from ``bar()``."""
     out = [[None] * (2 * M.cols) for _ in range(2 * M.rows)]
     for i in range(M.rows):
         for j in range(M.cols):

@@ -223,47 +223,3 @@ def is_central(x):
             return False
     return True
 
-
-def load_structure_constants(text):
-    """Parse a simple text table into a LieAlgebraSpec.
-
-    Format: one "basis: name name ..." line, then lines
-    "bracket: u v w coeff" declaring a summand coeff * e_w of [e_u, e_v]
-    (accumulating over repeated (u, v, w)); coeff is a rational "p/q".
-    Pairs may be given in either order; antisymmetry is enforced.
-    """
-    basis = None
-    raw = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        fields = rest.split()
-        if key.strip() == "basis":
-            basis = fields
-        elif key.strip() == "bracket":
-            u, v, w, coeff = fields
-            raw.setdefault((u, v), {}).setdefault(w, []).append(coeff)
-        else:
-            raise ValueError(f"unknown line {line!r}")
-    if basis is None:
-        raise ValueError("missing basis line")
-    index = {name: k for k, name in enumerate(basis)}
-    brackets = {}
-    for (u, v), vec in raw.items():
-        iu, iv = index[u], index[v]
-        if iu == iv:
-            raise ValueError(f"bracket [e,e] declared for {u}")
-        flip = iu < iv
-        key = (iv, iu) if flip else (iu, iv)
-        target = brackets.setdefault(key, {})
-        for w, coeffs in vec.items():
-            total = Coefficient.zero()
-            for c in coeffs:
-                total = total + Coefficient.from_rational(c)
-            if flip:
-                total = -total
-            iw = index[w]
-            target[iw] = target.get(iw, Coefficient.zero()) + total
-    return LieAlgebraSpec(basis, brackets)

@@ -23,11 +23,10 @@ from .scalars import C_HALF, C_INV_2I, Coefficient
 class Ring:
     """Bundle of ring capabilities used by generic matrix/verifier code."""
 
-    def __init__(self, name, zero, one, has_bar=False):
+    def __init__(self, name, zero, one):
         self.name = name
         self.zero = zero
         self.one = one
-        self.has_bar = has_bar
 
     def from_coefficient(self, c):
         """Embed a scalar Coefficient (or rational) as a ring element."""
@@ -52,6 +51,4 @@ def im_part(x):
     return (x - x.bar()).scale(C_INV_2I)
 
 
-COEFFICIENT_RING = Ring(
-    "coefficient", Coefficient.zero(), Coefficient.one(), has_bar=True
-)
+COEFFICIENT_RING = Ring("coefficient", Coefficient.zero(), Coefficient.one())

@@ -174,11 +174,11 @@ class SparseElement:
     hashable monomial to a nonzero value, with one ``+``, ``-``, unary
     ``-``, ``scale``, ``**``, ``is_zero``, ``render`` and ``__repr__``.
 
-    ``Coefficient`` (values ``GaussianRational``) and the engine classes
-    ``WeylElement``, ``SwapElement`` (with its PBW subclass
-    ``PbwElement``) and ``ExteriorElement`` (values ``Coefficient``)
-    build on it.  A subclass
-    must supply:
+    ``Coefficient`` (values ``GaussianRational``), the engine classes
+    ``WeylElement`` and ``SwapElement`` with its PBW subclass
+    ``PbwElement`` (values ``Coefficient``), and ``ExteriorElement``
+    (values elements of its host ring) build on it.  A subclass must
+    supply:
 
     - ``_new(terms)``: a sibling over the same generators, basis, table
       or algebra, holding ``terms`` (which it takes ownership of);
@@ -383,12 +383,6 @@ class Coefficient(SparseElement):
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         raise ValueError(f"not a constant: {self.render()}")
-
-    def rational_value(self):
-        g = self.constant_value()
-        if g.im != 0:
-            raise ValueError(f"not rational: {self.render()}")
-        return g.re
 
     def split_by_param(self, name):
         """Split into {exponent of name: cofactor Coefficient}."""

@@ -1,17 +1,18 @@
 """Free algebra over a finite letter set with per-pair swap policies.
 
-Three uses: the bar-graded local factorization checks (the psi/phi
-propositions), the abstract column-commuting factorization theorem, and
-the exterior (Grassmann) algebra over arbitrary host rings.  The word
-rewriter is also the PBW engine: ``pbw.LieAlgebraSpec`` is a table whose
-rules come from Lie brackets.
+The word rewriter serves the bar-graded local factorization checks (the
+psi/phi propositions) and the abstract column-commuting factorization
+theorem, and it is the PBW engine: ``pbw.LieAlgebraSpec`` is a table
+whose rules come from Lie brackets.  The exterior (Grassmann) algebra
+over a host ring, at the end of the module, is a separate bitmask
+engine that rewrites no words.
 
 Canonical form: each word is rewritten by rules on adjacent letter pairs
 until none applies, with the accumulated coefficients folded in; the
 rewriting of shared words is memoized per table.  Pair policies give the
 lexicographically least word reachable by allowed swaps (with signs),
-square-zero letters kill words, and tables may carry extra two-letter
-rewrite rules.  A Newman-style local confluence self-test runs at table
+and tables may carry extra two-letter rewrite rules (an empty one kills
+the word).  A Newman-style local confluence self-test runs at table
 construction on all letter triples.
 """
 
@@ -91,26 +92,25 @@ class SwapElement(SparseElement):
 
 
 class SwapTable:
-    """Letters, pair policies, square policies, optional extra rules.
+    """Letters, pair policies, optional extra rules.
 
     policies: dict frozenset({name_a, name_b}) -> "commute" | "anticommute"
               (absent pair = no relation)
-    squares:  dict name -> "zero" (absent = free)
     extra_rules: dict (name_a, name_b) -> list of (Coefficient, word of
               names); replaces the derived rule for that ordered pair
+              (an empty list makes the word a*b zero)
     bar_pairs: list of (unbarred, barred) names defining the bar
               involution and the bigrading
     """
 
     element = SwapElement
 
-    def __init__(self, letters, policies=None, squares=None, extra_rules=None,
+    def __init__(self, letters, policies=None, extra_rules=None,
                  bar_pairs=None):
         self.letters = tuple(letters)
         self.index = {name: k for k, name in enumerate(self.letters)}
         self.name = f"swap({','.join(self.letters)})"
         policies = policies or {}
-        squares = squares or {}
         extra_rules = extra_rules or {}
 
         rules = {}
@@ -124,12 +124,6 @@ class SwapTable:
                     rules[(i, j)] = ((-C_ONE, (j, i)),)
                 elif pol is not None:
                     raise ValueError(f"unknown policy {pol!r}")
-        for name, pol in squares.items():
-            if pol == "zero":
-                k = self.index[name]
-                rules[(k, k)] = ()
-            elif pol != "free":
-                raise ValueError(f"unknown square policy {pol!r}")
         for (a, b), rhs in extra_rules.items():
             rules[(self.index[a], self.index[b])] = tuple(
                 (c, tuple(self.index[x] for x in word)) for c, word in rhs
@@ -221,7 +215,7 @@ class SwapTable:
         return self.element(self, {(): C_ONE})
 
     def ring(self):
-        return Ring(self.name, self.zero(), self.one(), has_bar=bool(self.bar_map))
+        return Ring(self.name, self.zero(), self.one())
 
 
 def bigrade_project(x, hol_degree, antihol_degree):
@@ -491,9 +485,6 @@ class ExteriorElement(SparseElement):
             and self.alg is other.alg
             and self.terms == other.terms
         )
-
-    def coefficient(self, mask):
-        return self.terms.get(mask, self.alg.host.zero)
 
     def _render_order(self):
         return sorted(self.terms, key=lambda mask: (bin(mask).count("1"), mask))

@@ -42,9 +42,6 @@ class GeneratorSet:
         self.n = len(names)
         self._zero_exp = (0,) * self.n
 
-    def __len__(self):
-        return self.n
-
     def __eq__(self, other):
         return isinstance(other, GeneratorSet) and self.names == other.names
 
@@ -90,14 +87,6 @@ class WeylElement(SparseElement):
         d = list(gens._zero_exp)
         d[gens.index[name]] = 1
         return WeylElement(gens, {(gens._zero_exp, tuple(d)): Coefficient.one()})
-
-    @staticmethod
-    def from_coefficient(gens, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        if c.is_zero():
-            return WeylElement(gens, {})
-        return WeylElement(gens, {(gens._zero_exp, gens._zero_exp): c})
 
     def _new(self, terms):
         return WeylElement(self.gens, terms)
@@ -361,5 +350,4 @@ def weyl_ring(gens):
         f"weyl({','.join(gens.names)})",
         WeylElement.zero(gens),
         WeylElement.one(gens),
-        has_bar=True,
     )

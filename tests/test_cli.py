@@ -53,6 +53,20 @@ class TestExpand:
         assert "parse error" in err
 
 
+    def test_deep_nesting_exit_2(self, capsys):
+        text = "(" * 300 + "x" + ")" * 300
+        code, _, err = run_cli(["expand", "--context", "weyl", text], capsys)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_long_sum(self, capsys):
+        """A sum is parsed by a loop, not by recursion per term."""
+        text = "+".join(["x"] * 2000)
+        code, out, _ = run_cli(["expand", "--context", "weyl", text], capsys)
+        assert code == 0
+        assert out.strip() == "2000*x"
+
+
 class TestRun:
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(
@@ -202,3 +216,15 @@ def test_duplicate_suite_id_runs_once(monkeypatch, tmp_path, capsys):
     assert "2 reports, 0 failures" in out
     assert sorted(calls) == ["a", "b"]
     assert json.loads(path.read_text())["suite"] == ["b", "a"]
+
+
+def test_unwritable_json_path_exit_2_before_any_verifier(
+        monkeypatch, tmp_path, capsys):
+    calls = []
+    _fake_registry(monkeypatch, {"a": "ok"}, calls)
+    path = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(["run", "--json", str(path)], capsys)
+    assert code == 2
+    assert calls == []
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error:") and str(path) in line

@@ -95,6 +95,23 @@ class TestDecomplexified:
         assert report.notes["operator_oracle"]
         assert report.notes["raw_transpose_residual_zero"] is False
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_alt_reading_full_expansion(self, monkeypatch, sign):
+        """Given the true reading decomplexify(transpose(D)) in place of
+        the raw transpose, the witness scan finds nothing and the full
+        expansion of the left-hand determinant proves a zero residual."""
+        ring, gens, Z, D = idn.complex_weyl(1, "plain")
+        ZR = mo.decomplexify(Z)
+        DtR = mo.decomplexify(mo.transpose(D))
+        corr = mo.corr_tridiag(ring, idn.capelli_shifts(1), sign)
+        expanded = []
+        coldet = mo.coldet
+        monkeypatch.setattr(
+            mo, "coldet", lambda M: expanded.append(M) or coldet(M))
+        assert idn._alt_reading_residual_zero(ZR, DtR, corr, gens)
+        # coldet(ZR), coldet(DtR), then the full expansion's coldet(lhs)
+        assert len(expanded) == 3
+
     def test_symmetric_n2(self):
         assert idn.verify_decomplexified_capelli(
             "symmetric", 2).residualIsZero
@@ -224,7 +241,7 @@ def test_coldet_apply_matches_expanded_action(seed):
     M = _random_weyl_matrix(rng, gens, 2 + seed % 2)
     det = mo.coldet_permutations(M)
     assert mo.coldet(M) == det
-    actions = [(idn._coldet_apply(M, p), det.apply(p))
+    actions = [(mo._laplace(M, p, weyl.WeylElement.apply), det.apply(p))
                for p in idn._monomials(gens, 3)]
     assert all(got == want for got, want in actions)
     assert any(not want.is_zero() for _, want in actions)

@@ -8,7 +8,7 @@ import pytest
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli import weyl
+from nc_capelli import pbw, weyl
 from nc_capelli.ringapi import COEFFICIENT_RING
 from nc_capelli.scalars import Coefficient
 from nc_capelli.weyl import GeneratorSet, WeylElement
@@ -119,6 +119,12 @@ class TestDecomplexify:
             for ra, rb in zip(lhs.entries, rhs.entries)
             for a, b in zip(ra, rb)
         )
+
+    def test_ring_without_bar_rejected(self):
+        g = pbw.build_gln(2)
+        M = mo.matrix(g.ring(), [[g.generator("E11")]])
+        with pytest.raises(TypeError):
+            mo.decomplexify(M)
 
 
 class TestCorrTriDiag:

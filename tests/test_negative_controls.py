@@ -1,10 +1,11 @@
-"""Negative controls for the determinant-, PBW- and swap-backed verifier
-ids: with one helper perturbed for the duration of the call, each
-identity below is false, and its verifier must report a nonzero
-residual."""
+"""Negative controls for the determinant-, PBW-, swap- and Cayley-backed
+verifier ids and the oracles: with one helper perturbed for the duration
+of the call, each identity below is false, and its verifier must report
+a nonzero residual."""
 
 import pytest
 
+from nc_capelli import cayley
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import swapalg
@@ -28,6 +29,22 @@ def _zero_correction(real):
 
 def _no_bar(real):
     return lambda M: M
+
+
+def _identity(real):
+    return lambda x: x
+
+
+def _degree_plus_one(real):
+    return lambda n: real(n + 1)
+
+
+def _quaternion_degree_plus_one(real):
+    return lambda kind, n: real(kind, n + 1)
+
+
+def _of_transpose(real):
+    return lambda M: real(mo.transpose(M))
 
 
 def _commuting_bars(real):
@@ -57,6 +74,12 @@ PERTURBATIONS = {
     "corr_tridiag = 0": (mo, "corr_tridiag", _zero_correction),
     "mat_bar = identity": (idn, "mat_bar", _no_bar),
     "barred letters commute": (swapalg, "psi_phi_table", _commuting_bars),
+    "b_polynomial(n + 1)": (cayley, "b_polynomial", _degree_plus_one),
+    "quaternion_expected(kind, n + 1)": (
+        cayley, "quaternion_expected", _quaternion_degree_plus_one),
+    "coldet_permutations of the transpose": (
+        mo, "coldet_permutations", _of_transpose),
+    "re_part = identity": (mo, "re_part", _identity),
 }
 
 # (perturbation, verifier id and instance, verification)
@@ -93,6 +116,20 @@ CASES = [
      _doubled_gl2_main),
     ("barred letters commute", "factorization.local plus",
      lambda: idn.verify_local_factorization("plus")),
+    ("capelli_shifts + 1", "capelli.huks n=2",
+     lambda: idn.verify_classical_capelli("huks", 2)),
+    ("capelli_shifts + 1", "rect.antisym n=2 I=J=(1,)",
+     lambda: idn.verify_rectangular("antisym-conditional", 2, (1,), (1,))),
+    ("b_polynomial(n + 1)", "cayley.scalar n=2",
+     lambda: cayley.verify_cayley_scalar(2)),
+    ("b_polynomial(n + 1)", "cayley.decomplexified n=1",
+     lambda: cayley.verify_cayley_decomplexified(1)),
+    ("quaternion_expected(kind, n + 1)", "cayley.quaternion complexForm n=1",
+     lambda: cayley.verify_cayley_quaternion("complexForm", 1)),
+    ("coldet_permutations of the transpose", "oracle.coldet count=40",
+     lambda: idn.verify_oracle_coldet(40)),
+    ("re_part = identity", "oracle.decomplexify count=30",
+     lambda: idn.verify_oracle_decomplexify(30)),
 ]
 
 

@@ -180,15 +180,14 @@ class TestCentrality:
             assert pbw.is_central(part)
 
 
-class TestLoadStructureConstants:
-    def test_round_trip(self):
-        sl2 = "\n".join([
-            "basis: f h e",
-            "bracket: h f f -2",
-            "bracket: e f h 1",
-            "bracket: e h e -2",
-        ])
-        g = pbw.load_structure_constants(sl2)
+class TestLieAlgebraSpec:
+    def test_sl2_brackets(self):
+        # basis f < h < e; brackets keyed (u, v) with u > v
+        g = pbw.LieAlgebraSpec(("f", "h", "e"), {
+            (1, 0): {0: C(-2)},  # [h, f] = -2f
+            (2, 0): {1: C(1)},   # [e, f] = h
+            (2, 1): {2: C(-2)},  # [e, h] = -2e
+        })
         e, h, f = g.generator("e"), g.generator("h"), g.generator("f")
         assert commutator(e, f) == h
         assert commutator(h, e) == e.scale(2)
@@ -196,10 +195,9 @@ class TestLoadStructureConstants:
         assert g.check_jacobi()
 
     def test_jacobi_failure_rejected(self):
-        bad = "\n".join([
-            "basis: a b c",
-            "bracket: b a a 1",
-            "bracket: c b b 1",
-        ])
+        # [b, a] = a and [c, b] = b, with [c, a] = 0, break Jacobi
         with pytest.raises(ValueError, match="Jacobi"):
-            pbw.load_structure_constants(bad)
+            pbw.LieAlgebraSpec(("a", "b", "c"), {
+                (1, 0): {0: C(1)},
+                (2, 1): {1: C(1)},
+            })

@@ -168,9 +168,6 @@ class TestCoefficient:
         assert parts[1] == s
         assert parts[0] == C(7)
 
-    def test_rational_value(self):
-        assert C(3, 4).rational_value() == Fraction(3, 4)
-
     def test_render(self):
         assert C(0).render() == "0"
         assert (C(2) + C(3) * I).render() == "2+3*i"

@@ -97,7 +97,7 @@ class TestExactDivide:
         assert weyl.exact_divide(det * det, det) == det
 
     def test_constant_quotient(self, xy):
-        two = WeylElement.from_coefficient(xy, 2)
+        two = weyl.weyl_ring(xy).from_coefficient(Coefficient.from_rational(2))
         assert weyl.exact_divide(two, WeylElement.one(xy)) == two
 
     def test_not_divisible(self, xy):
