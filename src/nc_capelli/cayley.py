@@ -10,6 +10,7 @@ in the commutative polynomial layer of the Weyl algebra plus apply().
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from . import matrixops as mo
 from . import weyl
@@ -55,7 +56,9 @@ def b_polynomial(n):
 
 def _quotient(det_d, det_z, s):
     """apply(det_d, det_z^s) exact-divided by det_z^(s-1), as a
-    Coefficient constant."""
+    Coefficient constant, for one integer s >= 1."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     prev = det_z ** (s - 1)
     applied = det_d.apply(prev * det_z)
     return _constant_of(weyl.exact_divide(applied, prev))
@@ -68,16 +71,12 @@ def _quotient(det_d, det_z, s):
 def cayley_scalar(n, s):
     """det(d/dx) det(X)^s = b(s) det(X)^(s-1); returns b(s) for one
     integer s >= 1."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
     _, _, X, D = classical_weyl(n)
     return _quotient(mo.coldet(D), mo.coldet(X), s)
 
 
 def cayley_decomplexified(n, s):
     """det(D^R) det(Z^R)^s = b(s)^2 det(Z^R)^(s-1); returns b(s)^2."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
     _, _, Z, D = complex_weyl(n)
     return _quotient(
         mo.coldet(mo.decomplexify(D)), mo.coldet(mo.decomplexify(Z)), s
@@ -127,17 +126,11 @@ def quaternion_commutation_check(n):
     2n (operator-first commutator ordering)."""
     t0 = time.monotonic()
     ring, Z, D = quaternion_pair(n)
-    Dt = mo.transpose(D)
-    m = 2 * n
-    ok = True
-    for u in range(m):
-        for v in range(m):
-            for r in range(m):
-                for s in range(m):
-                    want = ring.one if (u == r and v == s) else ring.zero
-                    got = commutator(Dt.entries[r][s].scale(2), Z.entries[u][v])
-                    if not (got - want).is_zero():
-                        ok = False
+    Dt = mo.transpose(D).entries
+    ok = all(
+        (commutator(Dt[r][s].scale(2), Z.entries[u][v])
+         - (ring.one if (u, v) == (r, s) else ring.zero)).is_zero()
+        for u, v, r, s in product(range(2 * n), repeat=4))
     return bool_report(
         "cayley.quaternion-commutation", ring.name, {"n": n}, ok, t0,
         detail="" if ok else "canonical relations violated",
@@ -153,8 +146,6 @@ def cayley_quaternion(kind, n, s):
     realForm: det(D^R) det(Z^R)^s / det(Z^R)^(s-1)
       = (1/2^(4n)) (2s-1)(2s)^2 (2s+1)^2 ... (2s+2n-2)^2 (2s+2n-1).
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
     ring, Z, D = quaternion_pair(n)
     if kind == "complexForm":
         return _quotient(mo.coldet(D), mo.coldet(Z), s)

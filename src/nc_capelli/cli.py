@@ -240,9 +240,17 @@ def main(argv=None):
     expp = sub.add_parser("expand", help="expand an expression")
     expp.add_argument("--context", choices=("weyl", "gl2", "swap"),
                       default="weyl")
-    expp.add_argument("expression")
+    expp.add_argument("expression", nargs="?")
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "expand" and args.expression is None and len(extra) == 1:
+        # an expression such as "-x+y" reads as an unknown option; one
+        # leftover word is the expression
+        (args.expression,) = extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    elif args.command == "expand" and args.expression is None:
+        expp.error("the following arguments are required: expression")
 
     if args.command == "expand":
         try:

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
 from .ringapi import COEFFICIENT_RING, commutator
-from .scalars import Coefficient
+from .scalars import C_HALF, Coefficient
 
 C_ZERO = Coefficient.zero()
 C_ONE = Coefficient.one()
@@ -186,12 +187,9 @@ def css_instance(kind, n):
 # ---------------------------------------------------------------------------
 
 def check_column_commuting(M):
-    for k in range(M.cols):
-        for a in range(M.rows):
-            for b in range(a + 1, M.rows):
-                if not commutator(M.entries[a][k], M.entries[b][k]).is_zero():
-                    return False
-    return True
+    E = M.entries
+    return all(commutator(E[a][k], E[b][k]).is_zero()
+               for k in range(M.cols) for a, b in combinations(range(M.rows), 2))
 
 
 def check_bar_commuting(*matrices):
@@ -199,75 +197,45 @@ def check_bar_commuting(*matrices):
     matrices."""
     entries = [e for M in matrices for row in M.entries for e in row]
     bars = [e.bar() for e in entries]
-    for a in entries:
-        for b in bars:
-            if not commutator(a, b).is_zero():
-                return False
-    return True
+    return all(commutator(a, b).is_zero() for a, b in product(entries, bars))
 
 
 def check_manin(M):
     """Column entries commute and cross 2x2 commutators match:
     [M_pq, M_kl] = [M_kq, M_pl]; double-checked via the coaction
     property (psi^M columns anticommute in the exterior layer)."""
-    if not check_column_commuting(M):
+    E, rows, cols = M.entries, range(M.rows), range(M.cols)
+    if not (check_column_commuting(M) and all(
+            (commutator(E[p][q], E[k][l]) - commutator(E[k][q], E[p][l])).is_zero()
+            for p, k, q, l in product(rows, rows, cols, cols))):
         return False
-    for p in range(M.rows):
-        for k in range(M.rows):
-            for q in range(M.cols):
-                for l in range(M.cols):
-                    lhs = commutator(M.entries[p][q], M.entries[k][l])
-                    rhs = commutator(M.entries[k][q], M.entries[p][l])
-                    if not (lhs - rhs).is_zero():
-                        return False
     # independent check through the coaction: psi^M_i anticommute
     alg = swapalg.ExteriorAlgebra(M.rows, M.ring)
-    psis = [swapalg.psi_M(alg, M, k) for k in range(M.cols)]
-    for i in range(M.cols):
-        for j in range(M.cols):
-            if not (psis[i] * psis[j] + psis[j] * psis[i]).is_zero():
-                return False
-    return True
+    psis = [swapalg.psi_M(alg, M, k) for k in cols]
+    return all((a * b + b * a).is_zero() for a, b in product(psis, repeat=2))
 
 
 def check_css(M, Y, Q):
     """[Y_lj, M_rp] = delta_lp * Q_rj for all indices."""
-    n = M.rows
-    for l in range(n):
-        for j in range(n):
-            for r in range(n):
-                for p in range(n):
-                    want = Q.entries[r][j] if l == p else M.ring.zero
-                    got = commutator(Y.entries[l][j], M.entries[r][p])
-                    if not (got - want).is_zero():
-                        return False
-    return True
+    zero = M.ring.zero
+    return all(
+        (commutator(Y.entries[l][j], M.entries[r][p])
+         - (Q.entries[r][j] if l == p else zero)).is_zero()
+        for l, j, r, p in product(range(M.rows), repeat=4))
 
 
 def check_tcss(M, Y):
     """[M_ij, Y_kl] = -h (delta_jk delta_il + delta_ik delta_jl) with a
     central h; returns (ok, h)."""
-    n = M.rows
     # extract h from the diagonal relation [M_11, Y_11] = -2h
-    h = (-commutator(M.entries[0][0], Y.entries[0][0])).scale(
-        Coefficient.from_rational(1, 2)
-    )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    mult = (1 if j == k and i == l else 0) + (
-                        1 if i == k and j == l else 0
-                    )
-                    want = (-h).scale(mult) if mult else M.ring.zero
-                    got = commutator(M.entries[i][j], Y.entries[k][l])
-                    if not (got - want).is_zero():
-                        return False, h
-    for row in list(M.entries) + list(Y.entries):
-        for e in row:
-            if not commutator(h, e).is_zero():
-                return False, h
-    return True, h
+    h = (-commutator(M.entries[0][0], Y.entries[0][0])).scale(C_HALF)
+    ok = all(
+        (commutator(M.entries[i][j], Y.entries[k][l])
+         + h.scale((j == k and i == l) + (i == k and j == l))).is_zero()
+        for i, j, k, l in product(range(M.rows), repeat=4)
+    ) and all(commutator(h, e).is_zero() for row in M.entries + Y.entries
+              for e in row)
+    return ok, h
 
 
 def _ext_commutator(h, x):
@@ -288,16 +256,14 @@ def check_gcss(M, Y, Q):
     alg = swapalg.ExteriorAlgebra(n, M.ring)
     psiM = [swapalg.psi_M(alg, M, k) for k in range(n)]
     psiQ = [swapalg.psi_M(alg, Q, k) for k in range(n)]
-    for j in range(n):
-        for p in range(n):
-            acc = alg.zero()
-            for l in range(n):
-                acc = acc + psiM[l] * _ext_commutator(Y.entries[l][j], psiM[p])
-            if not (acc - psiM[p] * psiQ[j]).is_zero():
-                return False
-            if not (psiQ[j] * psiM[p] + psiM[p] * psiQ[j]).is_zero():
-                return False
-    return True
+
+    def holds(j, p):
+        acc = sum((psiM[l] * _ext_commutator(Y.entries[l][j], psiM[p])
+                   for l in range(n)), alg.zero())
+        return ((acc - psiM[p] * psiQ[j]).is_zero()
+                and (psiQ[j] * psiM[p] + psiM[p] * psiQ[j]).is_zero())
+
+    return all(holds(j, p) for j, p in product(range(n), repeat=2))
 
 
 def check_factorization_relations(C, Q):
@@ -305,19 +271,15 @@ def check_factorization_relations(C, Q):
     [C_ik, C_jk] = C_ik Q_jk - C_jk Q_ik;
     [C_ik, Q_jk] = [C_jk, Q_ik];
     [Q_ik, Q_jk] = 0."""
-    n = C.rows
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                cik, cjk = C.entries[i][k], C.entries[j][k]
-                qik, qjk = Q.entries[i][k], Q.entries[j][k]
-                if not (commutator(cik, cjk) - (cik * qjk - cjk * qik)).is_zero():
-                    return False
-                if not (commutator(cik, qjk) - commutator(cjk, qik)).is_zero():
-                    return False
-                if not commutator(qik, qjk).is_zero():
-                    return False
-    return True
+
+    def holds(k, i, j):
+        cik, cjk = C.entries[i][k], C.entries[j][k]
+        qik, qjk = Q.entries[i][k], Q.entries[j][k]
+        return ((commutator(cik, cjk) - (cik * qjk - cjk * qik)).is_zero()
+                and (commutator(cik, qjk) - commutator(cjk, qik)).is_zero()
+                and commutator(qik, qjk).is_zero())
+
+    return all(holds(k, i, j) for k, i, j in product(range(C.rows), repeat=3))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +299,20 @@ def mat_bar(M):
     return mo.RingMatrix(M.ring, [[e.bar() for e in row] for row in M.entries])
 
 
+def corrected_coldet(C, Q, ds, sign):
+    """The main theorem's left side, coldet_2n(C^R + Q^R CorrTriDiag(ds)).
+    For C = A B this is also the A^R B^R reading: decomplexification is
+    a homomorphism, so (A B)^R and A^R B^R have the same entries
+    (oracle.decomplexify checks this)."""
+    corr = mo.corr_tridiag(C.ring, ds, sign)
+    return mo.coldet(mo.decomplexify(C) + mo.matmul(mo.decomplexify(Q), corr))
+
+
+def bar_factorized(A):
+    """The main theorem's right side, coldet(A) coldet(bar A)."""
+    return mo.coldet(A) * mo.coldet(mat_bar(A))
+
+
 def _monomials(gens, max_degree):
     """Every monomial of total degree <= max_degree in the commuting
     variables, lowest degree first."""
@@ -348,11 +324,11 @@ def _monomials(gens, max_degree):
             yield weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): C_ONE})
 
 
-def operator_action_oracle(lhs, rhs, gens, max_degree=2):
-    """Apply both sides to every monomial of total degree <= max_degree
-    in the commuting variables; True iff all actions agree."""
+def operator_action_oracle(lhs, rhs, gens):
+    """Apply both sides to every monomial of total degree <= 2 in the
+    commuting variables; True iff all actions agree."""
     return all((lhs.apply(p) - rhs.apply(p)).is_zero()
-               for p in _monomials(gens, max_degree))
+               for p in _monomials(gens, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +357,17 @@ def verify_classical_capelli(kind, n):
     )
 
 
-def _alt_reading_residual_zero(ZR, alt, corr, gens, max_degree=3):
+def _alt_reading_residual_zero(ZR, alt, corr, gens):
     """Residual-is-zero for the raw-transpose reading, by operator
-    action: scan low-degree monomials for a distinguishing witness
-    (proves nonzero) and fall back to the full expansion only when no
-    witness appears."""
+    action: scan the monomials of degree <= 3 for a distinguishing
+    witness (proves nonzero) and fall back to the full expansion only
+    when no witness appears."""
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet(ZR)
     ddet = mo.coldet(alt)
     act = weyl.WeylElement.apply  # coldet(lhsM) acts, never expanded
     if not all((mo._laplace(lhsM, p, act) - zdet * ddet.apply(p)).is_zero()
-               for p in _monomials(gens, max_degree)):
+               for p in _monomials(gens, 3)):
         return False
     return (mo.coldet(lhsM) - zdet * ddet).is_zero()
 
@@ -410,26 +386,18 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
     if kind == "antisymmetric" and n % 2:
         raise ValueError("antisymmetric requires even n")
     ring, gens, Z, D = complex_weyl(n, kind)
-    ZR = mo.decomplexify(Z)
     Dt = D if kind == "antisymmetric" else mo.transpose(D)
-    DtR = mo.decomplexify(Dt)
-    corr = mo.corr_tridiag(ring, capelli_shifts(n), sign)
-    lhs = mo.coldet(mo.matmul(ZR, DtR) + corr)
-    rhs = mo.coldet(ZR) * mo.coldet(DtR)
-    alt = mo.transpose(mo.decomplexify(D))
+    shifts = capelli_shifts(n)
+    lhs = corrected_coldet(mo.matmul(Z, Dt), mo.identity(ring, n), shifts, sign)
+    ZR = mo.decomplexify(Z)
+    rhs = mo.coldet(ZR) * mo.coldet(mo.decomplexify(Dt))
     notes = {"raw_transpose_residual_zero": _alt_reading_residual_zero(
-        ZR, alt, corr, gens)}
+        ZR, mo.transpose(mo.decomplexify(D)),
+        mo.corr_tridiag(ring, shifts, sign), gens)}
     if n <= 2:
         notes["operator_oracle"] = operator_action_oracle(lhs, rhs, gens)
-    return residual_report(
-        f"decomplex.square.{kind}",
-        ring.name,
-        {"n": n, "sign": sign},
-        lhs,
-        rhs,
-        t0,
-        notes=notes,
-    )
+    return residual_report(f"decomplex.square.{kind}", ring.name,
+                           {"n": n, "sign": sign}, lhs, rhs, t0, notes=notes)
 
 
 def verify_rectangular(kind, n, I, J, sign="plus"):
@@ -459,25 +427,17 @@ def verify_rectangular(kind, n, I, J, sign="plus"):
         ring,
         [[ring.one if I[a] == J[b] else ring.zero for b in range(r)] for a in range(r)],
     )
-    corr = mo.corr_tridiag(ring, capelli_shifts(r), sign)
-    lhs = mo.coldet(mo.decomplexify(sub) + mo.matmul(mo.decomplexify(Q), corr))
+    lhs = corrected_coldet(sub, Q, capelli_shifts(r), sign)
     ZR = mo.decomplexify(Z)
     DtR = mo.decomplexify(Dt)
     dI, dJ = mo.double_index(I), mo.double_index(J)
-    rhs = ring.zero
-    for L in mo.multi_indexes(2 * n, 2 * r):
-        rhs = rhs + mo.coldet(mo.submatrix(ZR, dI, L)) * mo.coldet(
-            mo.submatrix(DtR, L, dJ)
-        )
+    rhs = sum((mo.coldet(mo.submatrix(ZR, dI, L))
+               * mo.coldet(mo.submatrix(DtR, L, dJ))
+               for L in mo.multi_indexes(2 * n, 2 * r)), ring.zero)
     return residual_report(
-        f"rect.{'antisym' if conditional else kind}",
-        ring.name,
+        f"rect.{'antisym' if conditional else kind}", ring.name,
         {"n": n, "r": r, "I": list(I), "J": list(J), "sign": sign},
-        lhs,
-        rhs,
-        t0,
-        conditional=conditional,
-    )
+        lhs, rhs, t0, conditional=conditional)
 
 
 def verify_thm_theor1(n):
@@ -486,51 +446,33 @@ def verify_thm_theor1(n):
     unbarred ones, coldet(M^R) = coldet(M) coldet(Mb); plus a
     commutative complex Weyl 2x2 instance."""
     t0 = time.monotonic()
-    letters = []
-    policies = {}
-    bar_pairs = []
-    for i, j in _index_pairs(n):
-        letters.append(f"M{i}{j}")
-    for i, j in _index_pairs(n):
-        letters.append(f"Mb{i}{j}")
-        bar_pairs.append((f"M{i}{j}", f"Mb{i}{j}"))
-    for j in range(1, n + 1):
-        col = [f"M{i}{j}" for i in range(1, n + 1)]
-        colb = [f"Mb{i}{j}" for i in range(1, n + 1)]
-        for group in (col, colb):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    policies[frozenset({group[a], group[b]})] = "commute"
-    for u in letters[: n * n]:
-        for v in letters[n * n:]:
-            policies[frozenset({u, v})] = "commute"
-    table = swapalg.SwapTable(letters, policies=policies, bar_pairs=bar_pairs)
+    plain = [f"M{i}{j}" for i, j in _index_pairs(n)]
+    barred = [f"Mb{i}{j}" for i, j in _index_pairs(n)]
+    # every barred letter commutes with every unbarred one, and letters
+    # of one column commute with each other
+    commuting = [*product(plain, barred), *(
+        (f"{p}{a}{j}", f"{p}{b}{j}") for j in range(1, n + 1)
+        for p in ("M", "Mb") for a, b in combinations(range(1, n + 1), 2))]
+    policies = {frozenset(pair): "commute" for pair in commuting}
+    table = swapalg.SwapTable(plain + barred, policies=policies,
+                              bar_pairs=list(zip(plain, barred)))
     ring = table.ring()
     M = mo.matrix(
         ring,
         [[table.letter(f"M{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)],
     )
-    lhs = mo.coldet(mo.decomplexify(M))
-    rhs = mo.coldet(M) * mo.coldet(mat_bar(M))
-    report = residual_report(
-        "factorization.weak", ring.name, {"n": n}, lhs, rhs, t0
-    )
+    report = residual_report("factorization.weak", ring.name, {"n": n},
+                             mo.coldet(mo.decomplexify(M)), bar_factorized(M), t0)
     # commutative instance over the Weyl polynomial subring
-    wring, _, Z, _ = complex_weyl(2, "plain")
-    wres = mo.coldet(mo.decomplexify(Z)) - mo.coldet(Z) * mo.coldet(mat_bar(Z))
+    _, _, Z, _ = complex_weyl(2, "plain")
+    wres = mo.coldet(mo.decomplexify(Z)) - bar_factorized(Z)
     report.notes["commutative_instance_zero"] = wres.is_zero()
     report.residualIsZero = report.residualIsZero and wres.is_zero()
     return report
 
 
-class MainTheoremInstance:
-    """A pair (C, Q) over a barred ring for the main theorem."""
-
-    def __init__(self, name, ring, C, Q):
-        self.name = name
-        self.ring = ring
-        self.C = C
-        self.Q = Q
+# A pair (C, Q) over a barred ring for the main theorem.
+MainTheoremInstance = namedtuple("MainTheoremInstance", "name ring C Q")
 
 
 def main_theorem_instances(n):
@@ -555,25 +497,17 @@ def verify_main_theorem(instance, ds, sign="plus"):
     factorization relations and bar-commutation — are checked first."""
     t0 = time.monotonic()
     ring, C, Q = instance.ring, instance.C, instance.Q
-    ds = [
-        d if isinstance(d, Coefficient) else Coefficient.from_rational(d) for d in ds
-    ]
+    ds = [d if isinstance(d, Coefficient) else Coefficient.from_rational(d)
+          for d in ds]
     pre_rel = check_factorization_relations(C, Q)
     pre_bar = check_bar_commuting(C, Q)
-    corr = mo.corr_tridiag(ring, ds, sign)
-    lhs = mo.coldet(mo.decomplexify(C) + mo.matmul(mo.decomplexify(Q), corr))
-    shifted = C + mo.matmul(Q, shift_diag(ring, ds))
-    rhs = mo.coldet(shifted) * mo.coldet(mat_bar(shifted))
+    lhs = corrected_coldet(C, Q, ds, sign)
+    rhs = bar_factorized(C + mo.matmul(Q, shift_diag(ring, ds)))
     report = residual_report(
-        "factorization.main",
-        ring.name,
+        "factorization.main", ring.name,
         {"n": C.rows, "instance": instance.name,
          "ds": [d.render() for d in ds], "sign": sign},
-        lhs,
-        rhs,
-        t0,
-        notes={"relations_hold": pre_rel, "bar_commuting": pre_bar},
-    )
+        lhs, rhs, t0, notes={"relations_hold": pre_rel, "bar_commuting": pre_bar})
     report.residualIsZero = report.residualIsZero and pre_rel and pre_bar
     return report
 
@@ -586,10 +520,8 @@ def verify_holfact_capelli(n, sign="plus"):
     t0 = time.monotonic()
     spec, ring, E = gln_E_matrix(n, doubled=True)
     shifts = capelli_shifts(n)
-    corr = mo.corr_tridiag(ring, shifts, sign)
-    lhs = mo.coldet(mo.decomplexify(E) + corr)
-    shifted = E + shift_diag(ring, shifts)
-    rhs = mo.coldet(shifted) * mo.coldet(mat_bar(shifted))
+    lhs = corrected_coldet(E, mo.identity(ring, n), shifts, sign)
+    rhs = bar_factorized(E + shift_diag(ring, shifts))
     return residual_report(
         "factorization.capelli", ring.name, {"n": n, "sign": sign}, lhs, rhs, t0
     )
@@ -712,23 +644,13 @@ def verify_css_capelli(css_kind, n, sign="plus"):
             "column_commuting_Y": check_column_commuting(Y),
             "bar_commuting": check_bar_commuting(M, Y, Q),
         }
-    corr = mo.corr_tridiag(ring, capelli_shifts(n), sign)
-    MR, YR = mo.decomplexify(M), mo.decomplexify(Y)
-    lhs = mo.coldet(mo.matmul(MR, YR) + mo.matmul(mo.decomplexify(Q), corr))
-    rhs = mo.coldet(MR) * mo.coldet(YR)
-    report = residual_report(
-        f"css.capelli.{css_kind if n > 1 else 'n1'}",
-        ring.name,
-        {"n": n, "sign": sign},
-        lhs,
-        rhs,
-        t0,
-        notes=notes,
-    )
-    pre = notes.get("preconditions", {})
+    lhs = corrected_coldet(mo.matmul(M, Y), Q, capelli_shifts(n), sign)
+    rhs = mo.coldet(mo.decomplexify(M)) * mo.coldet(mo.decomplexify(Y))
+    report = residual_report(f"css.capelli.{css_kind if n > 1 else 'n1'}",
+                             ring.name, {"n": n, "sign": sign}, lhs, rhs, t0,
+                             notes=notes)
     report.residualIsZero = report.residualIsZero and all(
-        bool(v) for v in pre.values()
-    )
+        notes["preconditions"].values())
     return report
 
 
@@ -823,15 +745,12 @@ def _random_coefficient(rng, gaussian=True):
     return c
 
 
-def _random_weyl(rng, gens, terms=2, max_exp=1, polynomial=False):
+def _random_weyl(rng, gens):
+    """A sum of two random monomials of degree <= 1 in each generator."""
     out = weyl.WeylElement.zero(gens)
-    for _ in range(terms):
-        v = tuple(rng.randint(0, max_exp) for _ in range(gens.n))
-        u = (
-            gens._zero_exp
-            if polynomial
-            else tuple(rng.randint(0, max_exp) for _ in range(gens.n))
-        )
+    for _ in range(2):
+        v = tuple(rng.randint(0, 1) for _ in range(gens.n))
+        u = tuple(rng.randint(0, 1) for _ in range(gens.n))
         c = _random_coefficient(rng)
         if c.is_zero():
             c = C_ONE
@@ -853,7 +772,7 @@ def _random_entry_engines(rng):
     )
     return [
         (COEFFICIENT_RING, lambda: _random_coefficient(rng)),
-        (weyl.weyl_ring(gens), lambda: _random_weyl(rng, gens, terms=2)),
+        (weyl.weyl_ring(gens), lambda: _random_weyl(rng, gens)),
         (pring, lambda: g2.generator(rng.choice(g2.basis)).scale(
             _random_coefficient(rng, gaussian=False)
         ) + pring.from_coefficient(_random_coefficient(rng))),
@@ -862,90 +781,78 @@ def _random_entry_engines(rng):
     ]
 
 
-def verify_oracle_coldet(count=200, seed=2026):
+def _oracle_report(name, ring_name, count, trial, t0):
+    """Run trial(0), ..., trial(count - 1); the report fails at the
+    first trial that returns False."""
+    bad = next((k for k in range(count) if not trial(k)), None)
+    return bool_report(name, ring_name, {"count": count}, bad is None, t0,
+                       detail=f"disagreement at trial {bad}")
+
+
+def _random_matrix(ring, entry, size):
+    return mo.matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
+
+
+def verify_oracle_coldet(count=200):
     """coldet (Laplace) vs the reference coldet_permutations on random
     matrices over all engines: scalar, Weyl, PBW and swap."""
     t0 = time.monotonic()
-    rng = random.Random(seed)
-    engines = _random_entry_engines(rng)
-    checked = 0
-    for trial in range(count):
-        ring, entry = engines[trial % 4]
-        size = 2 + (trial % 2)
-        M = mo.matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
-        if not (mo.coldet(M) - mo.coldet_permutations(M)).is_zero():
-            return bool_report(
-                "oracle.coldet", "mixed", {"count": count}, False, t0,
-                detail=f"disagreement at trial {trial}",
-            )
-        checked += 1
-    return bool_report(
-        "oracle.coldet", "mixed", {"count": checked}, True, t0
-    )
+    engines = _random_entry_engines(random.Random(2026))
+
+    def trial(k):
+        M = _random_matrix(*engines[k % 4], 2 + k % 2)
+        return (mo.coldet(M) - mo.coldet_permutations(M)).is_zero()
+
+    return _oracle_report("oracle.coldet", "mixed", count, trial, t0)
 
 
-def verify_oracle_topform(count=100, seed=2027):
+def verify_oracle_topform(count=100):
     """Grassmann top-form lemma: prod_k psi^M_k = coldet(M) psi_top for
     random Weyl-entry matrices of size up to 3."""
     t0 = time.monotonic()
-    rng = random.Random(seed)
+    rng = random.Random(2027)
     gens = weyl.GeneratorSet(["x1", "x2"])
     ring = weyl.weyl_ring(gens)
-    for trial in range(count):
-        size = 1 + trial % 3
-        M = mo.matrix(
-            ring,
-            [[_random_weyl(rng, gens, terms=2) for _ in range(size)]
-             for _ in range(size)],
-        )
+
+    def trial(k):
+        size = 1 + k % 3
+        M = _random_matrix(ring, lambda: _random_weyl(rng, gens), size)
         alg = swapalg.ExteriorAlgebra(size, ring)
         prod = alg.one()
-        for k in range(size):
-            prod = prod * swapalg.psi_M(alg, M, k)
-        want = swapalg.ExteriorElement(alg, {alg.top_mask(): mo.coldet(M)})
-        if mo.coldet(M).is_zero():
-            want = alg.zero()
-        if not (prod - want).is_zero():
-            return bool_report(
-                "oracle.topform", ring.name, {"count": count}, False, t0,
-                detail=f"disagreement at trial {trial}",
-            )
-    return bool_report("oracle.topform", ring.name, {"count": count}, True, t0)
+        for col in range(size):
+            prod = prod * swapalg.psi_M(alg, M, col)
+        det = mo.coldet(M)
+        want = alg.zero() if det.is_zero() else \
+            swapalg.ExteriorElement(alg, {alg.top_mask(): det})
+        return (prod - want).is_zero()
+
+    return _oracle_report("oracle.topform", ring.name, count, trial, t0)
 
 
-def verify_oracle_decomplexify(count=100, seed=2028):
-    """Decomplexification is a homomorphism: (M N)^R = M^R N^R and
-    (M + N)^R = M^R + N^R on random complex-entry Weyl matrices."""
+def verify_oracle_decomplexify(count=100):
+    """Decomplexification is a homomorphism: Id^R = Id, and
+    (M N)^R = M^R N^R and (M + N)^R = M^R + N^R on random complex-entry
+    Weyl matrices."""
     t0 = time.monotonic()
-    rng = random.Random(seed)
+    rng = random.Random(2028)
     gens = weyl.GeneratorSet(["x1", "y1", "x2", "y2"])
     ring = weyl.weyl_ring(gens)
-    for trial in range(count):
-        size = 1 + trial % 2
-        mk = lambda: mo.matrix(
-            ring,
-            [[_random_weyl(rng, gens, terms=2) for _ in range(size)]
-             for _ in range(size)],
-        )
-        M, N = mk(), mk()
-        prod = mo.decomplexify(mo.matmul(M, N)) - mo.matmul(
-            mo.decomplexify(M), mo.decomplexify(N)
-        )
-        add = mo.decomplexify(M + N) - (mo.decomplexify(M) + mo.decomplexify(N))
-        bad = any(
-            not e.is_zero() for P in (prod, add) for row in P.entries for e in row
-        )
-        if bad:
-            return bool_report(
-                "oracle.decomplexify", ring.name, {"count": count}, False, t0,
-                detail=f"disagreement at trial {trial}",
-            )
-    idm = mo.decomplexify(mo.identity(ring, 2)) - mo.identity(ring, 4)
-    ok = all(e.is_zero() for row in idm.entries for e in row)
-    return bool_report(
-        "oracle.decomplexify", ring.name, {"count": count}, ok, t0,
-        detail="" if ok else "Id^R != Id",
-    )
+    R = mo.decomplexify
+
+    def is_zero(P):
+        return all(e.is_zero() for row in P.entries for e in row)
+
+    if not is_zero(R(mo.identity(ring, 2)) - mo.identity(ring, 4)):
+        return bool_report("oracle.decomplexify", ring.name, {"count": count},
+                           False, t0, detail="Id^R != Id")
+
+    def trial(k):
+        M, N = (_random_matrix(ring, lambda: _random_weyl(rng, gens), 1 + k % 2)
+                for _ in range(2))
+        return (is_zero(R(mo.matmul(M, N)) - mo.matmul(R(M), R(N)))
+                and is_zero(R(M + N) - (R(M) + R(N))))
+
+    return _oracle_report("oracle.decomplexify", ring.name, count, trial, t0)
 
 
 # ---------------------------------------------------------------------------

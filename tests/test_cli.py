@@ -59,6 +59,29 @@ class TestExpand:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "-x+y"],
+        ["expand", "--context", "weyl", "-x+y"],
+        ["expand", "-x+y", "--context", "weyl"],
+        ["expand", "--", "-x+y"],
+    ])
+    def test_leading_minus(self, capsys, argv):
+        """An expression that starts with "-" is not read as an option."""
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.strip() == "-x + y"
+
+    @pytest.mark.parametrize("argv", [
+        ["expand"],
+        ["expand", "--context", "weyl"],
+        ["expand", "-x", "-y"],
+        ["expand", "x", "-y"],
+    ])
+    def test_missing_or_extra_expression_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_long_sum(self, capsys):
         """A sum is parsed by a loop, not by recursion per term."""
         text = "+".join(["x"] * 2000)

@@ -73,6 +73,55 @@ class TestCheckers:
         assert not idn.check_factorization_relations(E, badQ)
 
 
+def _complex_z_d(n=2):
+    ring, gens, Z, D = idn.complex_weyl(n, "plain")
+    return Z, D, mo.identity(ring, n)
+
+
+class TestCheckersFail:
+    """Each condition checker returns False on an input that violates
+    its condition (check_manin and check_factorization_relations are
+    covered in TestCheckers)."""
+
+    def test_column_commuting(self):
+        # [E11, E21] = -E21 in U(gl_2)
+        spec, ring, E = idn.gln_E_matrix(2)
+        assert not idn.check_column_commuting(E)
+
+    def test_bar_commuting(self):
+        # on real variables bar(d_ij) = d_ij, and [z_ij, d_ij] != 0
+        ring, gens, Z, D = idn.classical_weyl(2, "plain")
+        assert not idn.check_bar_commuting(Z, D)
+
+    def test_css_untransposed(self):
+        Z, D, Q = _complex_z_d()
+        assert idn.check_css(Z, mo.transpose(D), Q)
+        assert not idn.check_css(Z, D, Q)
+
+    def test_gcss_untransposed(self):
+        Z, D, Q = _complex_z_d()
+        assert idn.check_gcss(Z, mo.transpose(D), Q)
+        assert not idn.check_gcss(Z, D, Q)
+
+    def test_tcss_plain_pair(self):
+        # a plain (not symmetric) Z, D^t pair misses the second delta term
+        Z, D, _ = _complex_z_d()
+        ok, _ = idn.check_tcss(Z, mo.transpose(D))
+        assert not ok
+
+
+class TestMainTheoremSides:
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_corrected_coldet_with_unit_q(self, sign):
+        """With Q = Id the corrected determinant is coldet(C^R + CorrTriDiag)."""
+        Z, D, Q = _complex_z_d(1)
+        ZDt = mo.matmul(Z, mo.transpose(D))
+        ds = [C(3, 2)]
+        want = mo.coldet(
+            mo.decomplexify(ZDt) + mo.corr_tridiag(ZDt.ring, ds, sign))
+        assert idn.corrected_coldet(ZDt, Q, ds, sign) == want
+
+
 class TestClassical:
     @pytest.mark.parametrize("n", [1, 2])
     def test_plain(self, n):

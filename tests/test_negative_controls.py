@@ -1,15 +1,14 @@
-"""Negative controls for the determinant-, PBW-, swap- and Cayley-backed
-verifier ids and the oracles: with one helper perturbed for the duration
-of the call, each identity below is false, and its verifier must report
-a nonzero residual."""
+"""Negative controls for every verifier id: with one helper perturbed
+for the duration of the call, each identity below is false, and its
+verifier must report a nonzero residual."""
 
 import pytest
 
 from nc_capelli import cayley
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli import swapalg
-from nc_capelli.scalars import Coefficient
+from nc_capelli import swapalg, weyl
+from nc_capelli.scalars import Coefficient, accumulate
 
 
 def _shift_plus_one(real):
@@ -47,6 +46,24 @@ def _of_transpose(real):
     return lambda M: real(mo.transpose(M))
 
 
+def _sign_one(real):
+    return lambda a, b: 1
+
+
+def _twice(real):
+    return staticmethod(lambda gens, name: real(gens, name).scale(2))
+
+
+def _squares_to_one(real):
+    """The exterior product with psi_i^2 = 1 in place of 0: masks combine
+    by XOR."""
+    def mul(self, other):
+        return swapalg.ExteriorElement(self.alg, accumulate({}, (
+            (m1 ^ m2, h1 * h2 if swapalg._wedge_sign(m1, m2) > 0 else -(h1 * h2))
+            for m1, h1 in self.terms.items() for m2, h2 in other.terms.items())))
+    return mul
+
+
 def _commuting_bars(real):
     """The psi/phi table with barred letters commuting with unbarred
     ones instead of anticommuting."""
@@ -80,6 +97,10 @@ PERTURBATIONS = {
     "coldet_permutations of the transpose": (
         mo, "coldet_permutations", _of_transpose),
     "re_part = identity": (mo, "re_part", _identity),
+    "transpose = identity": (mo, "transpose", _identity),
+    "_wedge_sign = 1": (swapalg, "_wedge_sign", _sign_one),
+    "derivative scaled by 2": (weyl.WeylElement, "derivative", _twice),
+    "psi_i^2 = 1": (swapalg.ExteriorElement, "__mul__", _squares_to_one),
 }
 
 # (perturbation, verifier id and instance, verification)
@@ -130,6 +151,14 @@ CASES = [
      lambda: idn.verify_oracle_coldet(40)),
     ("re_part = identity", "oracle.decomplexify count=30",
      lambda: idn.verify_oracle_decomplexify(30)),
+    ("transpose = identity", "css.implications n=2",
+     lambda: idn.verify_implications(2)),
+    ("_wedge_sign = 1", "oracle.topform count=30",
+     lambda: idn.verify_oracle_topform(30)),
+    ("derivative scaled by 2", "cayley.radial n=2 s=2",
+     lambda: cayley.radial_identity(2, 2)),
+    ("psi_i^2 = 1", "factorization.global-cancellation n=2",
+     lambda: idn.verify_holfact_general(2)),
 ]
 
 
