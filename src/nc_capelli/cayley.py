@@ -20,13 +20,13 @@ from .scalars import Coefficient
 
 
 def _constant_of(w):
-    """The Coefficient value of a constant Weyl element."""
+    """The value of a constant Weyl element; ValueError otherwise."""
     if w.is_zero():
         return Coefficient.zero()
-    ((mono, coef),) = list(w.terms.items())
-    if any(mono[0]) or any(mono[1]):
+    zero = w.gens._zero_exp
+    if w.terms.keys() != {(zero, zero)}:
         raise ValueError(f"not a constant: {w.render()}")
-    return coef
+    return w.terms[zero, zero]
 
 
 def interpolate(points):

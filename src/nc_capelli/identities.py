@@ -20,10 +20,9 @@ from typing import Callable
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
 from .ringapi import COEFFICIENT_RING, commutator
-from .scalars import C_HALF, Coefficient
+from .scalars import C_HALF, G_ONE, Coefficient, GaussianRational
 
 C_ZERO = Coefficient.zero()
-C_ONE = Coefficient.one()
 
 
 @dataclass
@@ -321,7 +320,7 @@ def _monomials(gens, max_degree):
             exp = [0] * gens.n
             for name in combo:
                 exp[gens.index[name]] += 1
-            yield weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): C_ONE})
+            yield weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): G_ONE})
 
 
 def operator_action_oracle(lhs, rhs, gens):
@@ -737,12 +736,8 @@ def verify_hc_image(n):
 # ---------------------------------------------------------------------------
 
 def _random_coefficient(rng, gaussian=True):
-    re = rng.randint(-3, 3)
-    im = rng.randint(-2, 2) if gaussian else 0
-    c = Coefficient.from_rational(re)
-    if im:
-        c = c + Coefficient.i().scale(Coefficient.from_rational(im))
-    return c
+    return GaussianRational(rng.randint(-3, 3),
+                            rng.randint(-2, 2) if gaussian else 0)
 
 
 def _random_weyl(rng, gens):
@@ -753,7 +748,7 @@ def _random_weyl(rng, gens):
         u = tuple(rng.randint(0, 1) for _ in range(gens.n))
         c = _random_coefficient(rng)
         if c.is_zero():
-            c = C_ONE
+            c = G_ONE
         out = out + weyl.WeylElement(gens, {(v, u): c})
     return out
 
@@ -771,7 +766,8 @@ def _random_entry_engines(rng):
                   frozenset({"p", "r"}): "commute"},
     )
     return [
-        (COEFFICIENT_RING, lambda: _random_coefficient(rng)),
+        (COEFFICIENT_RING,
+         lambda: COEFFICIENT_RING.from_coefficient(_random_coefficient(rng))),
         (weyl.weyl_ring(gens), lambda: _random_weyl(rng, gens)),
         (pring, lambda: g2.generator(rng.choice(g2.basis)).scale(
             _random_coefficient(rng, gaussian=False)

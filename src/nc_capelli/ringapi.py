@@ -2,8 +2,10 @@
 
 Every engine (scalars, weyl, pbw, swapalg) exposes elements that are
 immutable values supporting ``+``, ``-``, unary ``-``, ``*``,
-``is_zero()`` and ``scale(Coefficient)``; engines with a conjugation
-additionally expose ``bar()``.  A :class:`Ring` instance bundles the
+``is_zero()`` and ``scale(c)`` (c a ``Coefficient``, ``GaussianRational``
+or rational); engines with a conjugation additionally expose ``bar()``.
+Weyl terms hold bare ``GaussianRational`` values unless a parameter
+occurs, PBW and swap terms ``Coefficient``s.  A :class:`Ring` bundles the
 distinguished elements that generic code (matrices, verifiers) needs,
 so matrix algorithms stay agnostic of the host.
 

@@ -40,6 +40,8 @@ class GaussianRational:
     and ``hash`` compare the fields.  ``GaussianRational(re, im)`` takes
     an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
     ``im`` read the parts back as ``Fraction``s.
+    It also reads as the constant Coefficient it equals (``terms``,
+    ``bar``, ``render``), so a parameter-free value can be stored bare.
     """
 
     __slots__ = ("p", "q", "d")
@@ -59,13 +61,18 @@ class GaussianRational:
     def im(self):
         return Fraction(self.q, self.d)
 
+    # For a Coefficient operand, NotImplemented runs its reflected op.
     def __add__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _make(self.p + other.p, self.q + other.q, d)
         return _make(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     def __sub__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _make(self.p - other.p, self.q - other.q, d)
@@ -75,6 +82,8 @@ class GaussianRational:
         return _fields(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         a, b = self.p, self.q
         c, e = other.p, other.q
         d = self.d * other.d
@@ -97,12 +106,20 @@ class GaussianRational:
     def conjugate(self):
         return _fields(self.p, -self.q, self.d)
 
+    bar = conjugate
+
+    @property
+    def terms(self):
+        """The one-term ``Coefficient`` view: ``{(): self}``, empty for 0."""
+        return {(): self} if self.p or self.q else {}
+
     def is_zero(self):
         return not self.p and not self.q
 
     def __eq__(self, other):
-        return (isinstance(other, GaussianRational) and self.p == other.p
-                and self.q == other.q and self.d == other.d)
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
         return hash((self.p, self.q, self.d))
@@ -175,10 +192,11 @@ class SparseElement:
     ``-``, ``scale``, ``**``, ``is_zero``, ``render`` and ``__repr__``.
 
     ``Coefficient`` (values ``GaussianRational``), the engine classes
-    ``WeylElement`` and ``SwapElement`` with its PBW subclass
-    ``PbwElement`` (values ``Coefficient``), and ``ExteriorElement``
-    (values elements of its host ring) build on it.  A subclass must
-    supply:
+    ``WeylElement`` (bare ``GaussianRational`` values where no parameter
+    occurs, ``Coefficient`` ones where one does), ``SwapElement`` with its
+    PBW subclass ``PbwElement`` (values ``Coefficient``), and
+    ``ExteriorElement`` (values elements of its host ring) build on it.
+    ``scale`` keeps a bare value bare.  A subclass must supply:
 
     - ``_new(terms)``: a sibling over the same generators, basis, table
       or algebra, holding ``terms`` (which it takes ownership of);
@@ -227,8 +245,7 @@ class SparseElement:
         return self._new({m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
+        c = _scalar(c)
         terms = {}
         for mono, cur in self.terms.items():
             p = cur * c
@@ -274,6 +291,15 @@ class SparseElement:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.render()}>"
+
+
+def _scalar(c):
+    """A scale factor as a bare GaussianRational unless it holds a
+    parameter; c is a Coefficient, a GaussianRational or a rational."""
+    if isinstance(c, Coefficient):
+        t = c.terms
+        return t.get((), G_ZERO) if t.keys() <= {()} else c
+    return c if isinstance(c, GaussianRational) else GaussianRational(c)
 
 
 def _mono_key(mono):
@@ -325,12 +351,6 @@ class Coefficient(SparseElement):
         return Coefficient({(): _fields(r.numerator, 0, r.denominator)})
 
     @staticmethod
-    def from_gaussian(g):
-        if g.is_zero():
-            return Coefficient({})
-        return Coefficient({(): g})
-
-    @staticmethod
     def i():
         return Coefficient({(): G_I})
 
@@ -343,46 +363,48 @@ class Coefficient(SparseElement):
 
     # --- ring operations ---------------------------------------------
 
+    # ``other`` may be a GaussianRational, read through its ``terms`` view.
     def __mul__(self, other):
-        if not self.terms or not other.terms:
+        st, ot = self.terms, other.terms
+        if not st or not ot:
             return Coefficient({})
-        if len(self.terms) == 1 and len(other.terms) == 1:
+        if len(st) == 1 and len(ot) == 1:
             # dominant case in determinant expansion: Q[i] is a domain,
             # so the single product term cannot vanish
-            ((m1, g1),) = self.terms.items()
-            ((m2, g2),) = other.terms.items()
+            ((m1, g1),) = st.items()
+            ((m2, g2),) = ot.items()
             return Coefficient({_mono_mul(m1, m2): g1 * g2})
         return Coefficient(accumulate({}, (
             (_mono_mul(m1, m2), g1 * g2)
-            for m1, g1 in self.terms.items()
-            for m2, g2 in other.terms.items()
+            for m1, g1 in st.items()
+            for m2, g2 in ot.items()
         )))
+
+    __rmul__ = __mul__
+    __radd__ = SparseElement.__add__
+
+    def __rsub__(self, other):
+        return -self + other
 
     def scale(self, c):
         """A Coefficient is its own coefficient ring: scaling multiplies."""
-        if not isinstance(c, Coefficient):
-            c = Coefficient.from_rational(c)
-        return self * c
+        return self * _scalar(c)
 
     def bar(self):
         """Conjugate i -> -i; parameters are real and stay fixed."""
         return Coefficient({m: g.conjugate() for m, g in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, Coefficient) and self.terms == other.terms
+        return (isinstance(other, (Coefficient, GaussianRational))
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        t = self.terms
+        if t.keys() <= {()}:  # a constant hashes as the bare value it equals
+            return hash(t.get((), G_ZERO))
+        return hash(frozenset(t.items()))
 
     # --- queries ------------------------------------------------------
-
-    def constant_value(self):
-        """The GaussianRational value, if the coefficient is constant."""
-        if not self.terms:
-            return G_ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        raise ValueError(f"not a constant: {self.render()}")
 
     def split_by_param(self, name):
         """Split into {exponent of name: cofactor Coefficient}."""
@@ -411,7 +433,7 @@ class Coefficient(SparseElement):
             clean[name] = value
         result = Coefficient({})
         for mono, g in self.terms.items():
-            term = Coefficient.from_gaussian(g)
+            term = Coefficient({(): g})
             for name, e in mono:
                 if name in clean:
                     term = term * clean[name] ** e
@@ -439,5 +461,5 @@ C_I = Coefficient.i()
 C_HALF = Coefficient.from_rational(1, 2)
 C_QUARTER = Coefficient.from_rational(1, 4)
 # 1/(2i) = -i/2, used throughout the real/imaginary part decompositions.
-C_INV_2I = Coefficient.from_gaussian(GaussianRational(0, Fraction(-1, 2)))
-C_I_QUARTER = Coefficient.from_gaussian(GaussianRational(0, Fraction(1, 4)))
+C_INV_2I = Coefficient({(): GaussianRational(0, Fraction(-1, 2))})
+C_I_QUARTER = Coefficient({(): GaussianRational(0, Fraction(1, 4))})

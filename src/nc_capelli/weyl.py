@@ -19,7 +19,7 @@ from .ringapi import Ring
 from .scalars import (
     C_HALF,
     C_I,
-    Coefficient,
+    G_ONE,
     GaussianRational,
     SparseElement,
     accumulate,
@@ -52,13 +52,14 @@ class GeneratorSet:
         return f"GeneratorSet({list(self.names)})"
 
 
-# The integer n as a Coefficient and as a GaussianRational.
-_int_coeff = cache(Coefficient.from_rational)
 _int_gauss = cache(GaussianRational)
 
 
 class WeylElement(SparseElement):
-    """Sparse normal-ordered sum: dict (varExp, derExp) -> Coefficient."""
+    """Sparse normal-ordered sum: dict (varExp, derExp) -> value, a bare
+    GaussianRational where no parameter occurs and a Coefficient where
+    one does (a constant Coefficient left by a cancelled parameter equals
+    and hashes as its bare value, so ``==`` never depends on the form)."""
 
     __slots__ = ("gens", "terms")
 
@@ -74,19 +75,19 @@ class WeylElement(SparseElement):
 
     @staticmethod
     def one(gens):
-        return WeylElement(gens, {(gens._zero_exp, gens._zero_exp): Coefficient.one()})
+        return WeylElement(gens, {(gens._zero_exp, gens._zero_exp): G_ONE})
 
     @staticmethod
     def variable(gens, name):
         v = list(gens._zero_exp)
         v[gens.index[name]] = 1
-        return WeylElement(gens, {(tuple(v), gens._zero_exp): Coefficient.one()})
+        return WeylElement(gens, {(tuple(v), gens._zero_exp): G_ONE})
 
     @staticmethod
     def derivative(gens, name):
         d = list(gens._zero_exp)
         d[gens.index[name]] = 1
-        return WeylElement(gens, {(gens._zero_exp, tuple(d)): Coefficient.one()})
+        return WeylElement(gens, {(gens._zero_exp, tuple(d)): G_ONE})
 
     def _new(self, terms):
         return WeylElement(self.gens, terms)
@@ -117,20 +118,10 @@ class WeylElement(SparseElement):
         return hash((self.gens, frozenset(self.terms.keys())))
 
     def __mul__(self, other):
-        """Normal-ordered product (see _mul_kernel).  When every
-        coefficient is parameter-free the kernel runs on the bare
-        GaussianRational values."""
+        """Normal-ordered product (see _mul_kernel)."""
         self._require_same(other)
-        gens = self.gens
-        g1 = _const_values(self.terms)
-        if g1 is not None:
-            g2 = _const_values(other.terms)
-            if g2 is not None:
-                out = _mul_kernel(gens, g1, g2, _int_gauss)
-                return WeylElement(
-                    gens, {m: Coefficient({(): g}) for m, g in out.items()})
         return WeylElement(
-            gens, _mul_kernel(gens, self.terms, other.terms, _int_coeff))
+            self.gens, _mul_kernel(self.gens, self.terms, other.terms))
 
     # --- polynomial-specific operations ------------------------------
 
@@ -159,7 +150,7 @@ class WeylElement(SparseElement):
                     continue
                 mono = (tuple(a + b - k for a, b, k in zip(vop, vp, uop)), zero)
                 cc = cop * cp
-                yield mono, (cc if factor == 1 else cc * _int_coeff(factor))
+                yield mono, (cc if factor == 1 else cc * _int_gauss(factor))
 
         out = {}
         for (vop, uop), cop in self.terms.items():
@@ -206,29 +197,13 @@ def _reorder(gens, u, v):
         yield tuple(kv), factor
 
 
-def _const_values(terms):
-    """If every coefficient is a parameter-free constant, return the
-    {monomial: GaussianRational} view of terms; otherwise None."""
-    out = {}
-    for mono, c in terms.items():
-        t = c.terms
-        if len(t) != 1:
-            return None
-        g = t.get(())
-        if g is None:
-            return None
-        out[mono] = g
-    return out
-
-
-def _mul_kernel(gens, left, right, as_int):
+def _mul_kernel(gens, left, right):
     """Normal-ordered product of two {(varExp, derExp): value} dicts.
 
-    Values need only ``+``, ``*`` and ``is_zero()``; ``as_int(b)`` is the
-    integer b as a value of the same type.  Left terms whose derivative
-    part is empty or a single first-order d_g take a direct two-branch
-    Leibniz step; everything else goes through the general _reorder
-    expansion.
+    Values need only ``+``, ``*`` and ``is_zero()``.  Left terms whose
+    derivative part is empty or a single first-order d_g take a direct
+    two-branch Leibniz step; everything else goes through the general
+    _reorder expansion.
     """
     ritems = list(right.items())
 
@@ -258,7 +233,7 @@ def _mul_kernel(gens, left, right, as_int):
                     lv[dg] -= 1
                     for g, e in vsup:
                         lv[g] += e
-                    yield (tuple(lv), u2), c * as_int(b)
+                    yield (tuple(lv), u2), c * _int_gauss(b)
             return
         for (v2, u2), c2 in ritems:
             c = c1 * c2
@@ -267,7 +242,7 @@ def _mul_kernel(gens, left, right, as_int):
                     tuple(a + b - k for a, b, k in zip(v1, v2, kv)),
                     tuple(a + b - k for a, b, k in zip(u1, u2, kv)),
                 )
-                yield mono, (c if factor == 1 else c * as_int(factor))
+                yield mono, (c if factor == 1 else c * _int_gauss(factor))
 
     out = {}
     for (v1, u1), c1 in left.items():
@@ -320,9 +295,9 @@ def _lead(p):
 def exact_divide(p, q):
     """Exact polynomial division p / q; raises NotDivisible otherwise.
 
-    Coefficient division requires the relevant leading coefficients of q
-    to be Gaussian-rational constants (true for every divisor the suite
-    uses: determinant powers and Vandermonde factors).
+    Coefficient division requires the leading coefficient of q to be a
+    Gaussian-rational constant (true for every divisor the suite uses:
+    determinant powers and Vandermonde factors); ValueError otherwise.
     """
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("exact_divide works on polynomials")
@@ -330,7 +305,10 @@ def exact_divide(p, q):
         raise ZeroDivisionError("division by zero polynomial")
     gens = p.gens
     lq = _lead(q)
-    cq = q.terms[lq].constant_value()
+    cq = q.terms[lq]
+    if not cq.terms.keys() <= {()}:
+        raise ValueError(f"not a constant: {cq.render()}")
+    inv = cq.terms[()].inverse()
     quotient = WeylElement.zero(gens)
     rem = p
     while not rem.is_zero():
@@ -338,7 +316,7 @@ def exact_divide(p, q):
         diff = tuple(a - b for a, b in zip(lr[0], lq[0]))
         if any(d < 0 for d in diff):
             raise NotDivisible(f"leading term {lr} not divisible by {lq}")
-        c = rem.terms[lr] * Coefficient.from_gaussian(cq.inverse())
+        c = rem.terms[lr] * inv
         t = WeylElement(gens, {(diff, gens._zero_exp): c})
         quotient = quotient + t
         rem = rem - t * q

@@ -5,6 +5,7 @@ import pytest
 
 from nc_capelli import cayley
 from nc_capelli.scalars import Coefficient
+from nc_capelli.weyl import GeneratorSet, WeylElement, weyl_ring
 
 
 def C(value, den=None):
@@ -79,6 +80,24 @@ class TestRadial:
             assert cayley.cayley_scalar(n, s) == C(b)
 
 
+class TestConstantOf:
+    gens = GeneratorSet(["x", "y"])
+
+    def test_constant(self):
+        three = weyl_ring(self.gens).from_coefficient(3)
+        assert cayley._constant_of(three) == C(3)
+        assert cayley._constant_of(WeylElement.zero(self.gens)).is_zero()
+
+    @pytest.mark.parametrize("names", [["x"], ["x", "y"], ["x", None]])
+    def test_non_constant(self, names):
+        w = WeylElement.zero(self.gens)
+        for name in names:
+            w = w + (WeylElement.variable(self.gens, name) if name
+                     else WeylElement.one(self.gens))
+        with pytest.raises(ValueError, match="not a constant: "):
+            cayley._constant_of(w)
+
+
 class TestInterpolation:
     def test_linear(self):
         pts = [(1, C(3)), (2, C(5))]
@@ -88,3 +107,39 @@ class TestInterpolation:
     def test_b_polynomial(self):
         s = Coefficient.param("s")
         assert cayley.b_polynomial(2) == s * s + s
+
+
+class TestSympyFirstPrinciples:
+    """b(s) at n = 2 from sympy alone: det(d) applied to det(X)^s with a
+    symbolic s, divided by det(X)^(s-1).  No Weyl product, apply or
+    exact_divide of this package runs on the sympy side."""
+
+    @staticmethod
+    def _fitted():
+        report = cayley.verify_cayley_scalar(2)
+        assert report.residualIsZero
+        return report.notes["bPolynomial"]
+
+    @staticmethod
+    def _disagreement(sign, fitted_text):
+        """quotient - fitted, for det(d) with the given sign of its
+        second product (-1 is the determinant)."""
+        sympy = pytest.importorskip("sympy")
+        s = sympy.Symbol("s")
+        x11, x12, x21, x22 = sympy.symbols("x11 x12 x21 x22")
+        det = x11 * x22 - x12 * x21
+        f = det ** s
+        op = sympy.diff(f, x11, x22) + sign * sympy.diff(f, x12, x21)
+        fitted = sympy.sympify(fitted_text.replace("^", "**"),
+                               locals={"s": s})
+        return sympy.simplify(op / det ** (s - 1) - fitted)
+
+    def test_b_polynomial_matches(self):
+        assert self._disagreement(-1, self._fitted()) == 0
+
+    def test_permanent_operator_disagrees(self):
+        assert self._disagreement(+1, self._fitted()) != 0
+
+    def test_perturbed_polynomial_disagrees(self):
+        assert self._disagreement(-1, self._fitted() + " + s") != 0
+

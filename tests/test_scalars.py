@@ -212,3 +212,66 @@ class TestCoefficient:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             Coefficient.param("not a param!")
+
+
+@st.composite
+def gaussians(draw):
+    d = draw(st.integers(1, 4))
+    return GaussianRational(Fraction(draw(st.integers(-5, 5)), d),
+                            Fraction(draw(st.integers(-5, 5)), d))
+
+
+def wrapped(g):
+    """g as an all-Coefficient value, built without the ``terms`` view."""
+    return C(g.re) + I * C(g.im)
+
+
+class TestBareAndWrapped:
+    """A bare GaussianRational and the constant Coefficient it equals are
+    interchangeable: mixed arithmetic, ``==`` and ``hash`` agree."""
+
+    @given(gaussians(), coefficients())
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_arithmetic(self, g, c):
+        w = wrapped(g)
+        for got, want in [(g + c, w + c), (c + g, c + w), (g - c, w - c),
+                          (c - g, c - w), (g * c, w * c), (c * g, c * w)]:
+            assert isinstance(got, Coefficient)
+            assert got == want and hash(got) == hash(want)
+
+    @given(gaussians())
+    @settings(max_examples=60, deadline=None)
+    def test_eq_and_hash_across_forms(self, g):
+        w = wrapped(g)
+        assert g == w and w == g and not g != w
+        assert hash(g) == hash(w)
+        assert g.terms == w.terms
+        assert g.bar() == w.bar()
+
+    def test_cancelled_parameter_leaves_equal_constant(self):
+        s = Coefficient.param("s")
+        left = (s + C(3, 2) + I) - s
+        assert left.terms.keys() == {()}
+        bare = GaussianRational(Fraction(3, 2), 1)
+        assert left == bare and bare == left and hash(left) == hash(bare)
+        zero = GaussianRational()
+        assert s - s == zero and hash(s - s) == hash(zero)
+
+    def test_parametric_differs_from_bare(self):
+        s = Coefficient.param("s")
+        assert s != G_ONE and G_ONE != s
+        assert s + C(1) != G_ONE
+
+    def test_foreign_operand_is_not_implemented(self):
+        c = Coefficient.param("s")
+        for op in ("__add__", "__sub__", "__mul__", "__eq__"):
+            assert getattr(G_ONE, op)(c) is NotImplemented
+        with pytest.raises(TypeError):
+            G_ONE + 1
+
+    def test_coefficient_scale_stays_coefficient(self):
+        s = Coefficient.param("s")
+        assert C(2).scale(C(3)) == C(6)
+        assert isinstance(C(2).scale(G_ONE), Coefficient)
+        assert (s * C(2)).scale(C(1, 2)) == s
+

@@ -1,12 +1,15 @@
 """Weyl algebra: normal ordering, apply, complex pairs, Wick, division."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_capelli import weyl
+from nc_capelli import matrixops as mo
 from nc_capelli.ringapi import commutator
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import Coefficient, GaussianRational
 from nc_capelli.weyl import GeneratorSet, NotDivisible, WeylElement
 
 
@@ -39,6 +42,55 @@ class TestNormalOrdering:
     def test_render(self, xy):
         x, dx = var(xy, "x"), der(xy, "x")
         assert (dx * x * x).render() == "x^2*dx + 2*x"
+
+
+class TestValueForms:
+    """Weyl values are bare GaussianRationals unless a parameter occurs;
+    elements built with wrapped constants are the same elements."""
+
+    def test_bare_and_wrapped_constants(self, xy):
+        x, dx = var(xy, "x"), der(xy, "x")
+        mono = next(iter(x.terms))
+        wrapped = WeylElement(xy, {mono: Coefficient.from_rational(3, 2)})
+        bare = WeylElement(xy, {mono: GaussianRational(Fraction(3, 2))})
+        assert wrapped == bare and bare == wrapped
+        assert hash(wrapped) == hash(bare)
+        assert wrapped.render() == bare.render() == "3/2*x"
+        scaled = x.scale(Coefficient.from_rational(3, 2))
+        assert scaled.terms == bare.terms
+        assert isinstance(scaled.terms[mono], GaussianRational)
+        p = dx.scale(Coefficient.param("d1")) + x
+        assert wrapped * p == bare * p and p * wrapped == p * bare
+        assert (wrapped * p).render() == "3/2*x^2 + 3/2*d1*x*dx"
+        assert (p * bare).render() == "3/2*x^2 + 3/2*d1*x*dx + 3/2*d1"
+
+    def test_parametric_renders(self, xy):
+        d1 = Coefficient.param("d1")
+        x, dx = var(xy, "x"), der(xy, "x")
+        y = var(xy, "y")
+        p = (x.scale(d1) + dx) * (dx.scale(d1) + x.scale(Coefficient.i()))
+        assert p.render() == "i*d1*x^2 + (i + d1^2)*x*dx + d1*dx^2 + i"
+        q = (dx + y.scale(d1 * Coefficient.from_rational(1, 2))) * \
+            (x * x).scale(d1 - Coefficient.one())
+        assert q.render() == ("(-1/2*d1 + 1/2*d1^2)*x^2*y + (-1 + d1)*x^2*dx"
+                              " + (-2 + 2*d1)*x")
+
+    @pytest.mark.parametrize("sign, off", [("plus", "1/4*i"),
+                                           ("minus", "-1/4*i")])
+    def test_corr_tridiag_renders(self, xy, sign, off):
+        ring = weyl.weyl_ring(xy)
+        M = mo.corr_tridiag(ring, [Coefficient.param("d1")], sign)
+        assert [[e.render() for e in row] for row in M.entries] == \
+            [["1/4 + d1", off], [off, "-1/4 + d1"]]
+        assert isinstance(next(iter(M.entries[0][1].terms.values())),
+                          GaussianRational)
+
+    def test_cancelled_parameter(self, xy):
+        d1 = Coefficient.param("d1")
+        x = var(xy, "x")
+        r = x.scale(d1) - x.scale(d1 - Coefficient.one())
+        assert r == x and x == r and hash(r) == hash(x)
+        assert r.render() == "x"
 
 
 class TestComplexPair:
@@ -104,6 +156,12 @@ class TestExactDivide:
         x, y = var(xy, "x"), var(xy, "y")
         with pytest.raises(NotDivisible):
             weyl.exact_divide(x * x + y, x - y)
+
+    def test_parametric_leading_coefficient(self, xy):
+        x, y = var(xy, "x"), var(xy, "y")
+        q = x.scale(Coefficient.param("d1")) + y
+        with pytest.raises(ValueError, match="not a constant: d1"):
+            weyl.exact_divide(x * q, q)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
