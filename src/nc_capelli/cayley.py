@@ -23,10 +23,9 @@ def _constant_of(w):
     """The value of a constant Weyl element; ValueError otherwise."""
     if w.is_zero():
         return Coefficient.zero()
-    zero = w.gens._zero_exp
-    if w.terms.keys() != {(zero, zero)}:
+    if w.terms.keys() != {0}:
         raise ValueError(f"not a constant: {w.render()}")
-    return w.terms[zero, zero]
+    return w.terms[0]
 
 
 def interpolate(points):

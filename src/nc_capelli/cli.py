@@ -255,7 +255,9 @@ def main(argv=None):
     if args.command == "expand":
         try:
             element = expand(args.context, args.expression)
-        except (ValueError, RecursionError) as e:  # or nested too deep
+        # RecursionError: nested too deep; OverflowError: an exponent
+        # past the Weyl field limit
+        except (ValueError, RecursionError, OverflowError) as e:
             print(f"parse error: {e}", file=sys.stderr)
             return 2
         print(element.render())

@@ -320,7 +320,7 @@ def _monomials(gens, max_degree):
             exp = [0] * gens.n
             for name in combo:
                 exp[gens.index[name]] += 1
-            yield weyl.WeylElement(gens, {(tuple(exp), gens._zero_exp): G_ONE})
+            yield weyl.WeylElement(gens, {gens.key(exp, [0] * gens.n): G_ONE})
 
 
 def operator_action_oracle(lhs, rhs, gens):
@@ -364,7 +364,7 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens):
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet(ZR)
     ddet = mo.coldet(alt)
-    act = weyl.WeylElement.apply  # coldet(lhsM) acts, never expanded
+    act = weyl.WeylElement.apply_into  # coldet(lhsM) acts, never expanded
     if not all((mo._laplace(lhsM, p, act) - zdet * ddet.apply(p)).is_zero()
                for p in _monomials(gens, 3)):
         return False
@@ -749,7 +749,7 @@ def _random_weyl(rng, gens):
         c = _random_coefficient(rng)
         if c.is_zero():
             c = G_ONE
-        out = out + weyl.WeylElement(gens, {(v, u): c})
+        out = out + weyl.WeylElement(gens, {gens.key(v, u): c})
     return out
 
 

@@ -9,10 +9,10 @@ multi-index machinery used by the rectangular identities.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, sub
 
 from .ringapi import im_part, re_part
-from .scalars import C_I_QUARTER, C_QUARTER, Coefficient, accumulate
+from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
 
 
 class RingMatrix:
@@ -88,7 +88,8 @@ def coldet(M):
     """Column determinant: sum over permutations sigma of
     sgn(sigma) * M[sigma(1),1] * M[sigma(2),2] * ... with the products
     taken column by column, left to right (see _laplace)."""
-    return _laplace(M, M.ring.one, mul)
+    one = M.ring.one
+    return _laplace(M, one, type(one).mul_into)
 
 
 # perfbench/spans.py traces this name; it is coldet itself.
@@ -130,15 +131,19 @@ def coldet_permutations(M):
 def _laplace(M, leaf, act):
     """Laplace recursion along the first column, built bottom-up: the
     minor on no rows is ``leaf``, and an entry e enters its column's
-    expansion as ``act(e, minor)``.  With ``leaf`` the unit and ``act``
-    the product this is the column determinant; with a polynomial and
-    ``apply`` it is the determinant's action on that polynomial.
+    expansion through ``act(e, minor, out, negate)``, which adds e acting
+    on the minor, negated at odd rows, into the new minor's dict ``out``.
+    With ``leaf`` the unit and ``act`` the element class's ``mul_into``
+    this is the column determinant; with a polynomial and
+    ``WeylElement.apply_into`` it is the determinant's action on that
+    polynomial.
 
     The minors of one column are computed from those of the next and
     then replace them, so only two columns of minors are ever held.
-    Each entry acts one term at a time, summed in place into one dict:
-    next to the running sum sits one term's product, never the whole
-    entry's product or a copy of the sum (this bounds peak memory).
+    A Weyl entry adds each product term straight into the new minor's
+    dict, in place: no per-term dict, no product of the whole entry and
+    no copy of the sum sit beside it (this bounds peak memory).  Other
+    rings add each entry's product (see ``SparseElement.mul_into``).
     """
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")
@@ -152,11 +157,8 @@ def _laplace(M, leaf, act):
             for pos, row in enumerate(rows):
                 e = entries[row][col]
                 sub = minors[rows[:pos] + rows[pos + 1 :]]
-                if e.is_zero() or sub.is_zero():
-                    continue
-                for mono, c in e.terms.items():
-                    term = e._new({mono: -c if pos % 2 else c})
-                    accumulate(out, act(term, sub).terms.items())
+                if not (e.is_zero() or sub.is_zero()):
+                    act(e, sub, out, pos % 2)
             bigger[rows] = leaf._new(out)
         minors = bigger
     return minors[tuple(range(n))]

@@ -253,6 +253,12 @@ class SparseElement:
                 terms[mono] = p
         return self._new(terms)
 
+    def mul_into(self, other, out, negate=False):
+        """Add self*other, negated if ``negate``, into the dict ``out``;
+        returns out (the step of ``matrixops._laplace``)."""
+        return accumulate(
+            out, ((-self if negate else self) * other).terms.items())
+
     def __pow__(self, n):
         if n < 0:
             raise ValueError(f"negative exponent {n}")

@@ -52,6 +52,15 @@ class TestExpand:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text", ["x^99999999999", "(x*dx)^40000",
+                                      "x^30000 * x^30000"])
+    def test_exponent_past_limit_exit_2(self, capsys, text):
+        """An exponent past the Weyl field limit fails at once (a power
+        raises before it multiplies) with one parse error line."""
+        code, out, err = run_cli(["expand", "--context", "weyl", text],
+                                 capsys)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
 
     def test_deep_nesting_exit_2(self, capsys):
         text = "(" * 300 + "x" + ")" * 300

@@ -275,7 +275,7 @@ def _random_weyl_matrix(rng, gens, n):
             v = tuple(rng.randint(0, 1) for _ in gens.names)
             u = tuple(rng.randint(0, 1) for _ in gens.names)
             c = C(rng.choice([-2, -1, 1, 2]))
-            out = out + weyl.WeylElement(gens, {(v, u): c})
+            out = out + weyl.WeylElement(gens, {gens.key(v, u): c})
         return out
 
     return mo.matrix(ring, [[entry() for _ in range(n)] for _ in range(n)])
@@ -290,7 +290,7 @@ def test_coldet_apply_matches_expanded_action(seed):
     M = _random_weyl_matrix(rng, gens, 2 + seed % 2)
     det = mo.coldet_permutations(M)
     assert mo.coldet(M) == det
-    actions = [(mo._laplace(M, p, weyl.WeylElement.apply), det.apply(p))
+    actions = [(mo._laplace(M, p, weyl.WeylElement.apply_into), det.apply(p))
                for p in idn._monomials(gens, 3)]
     assert all(got == want for got, want in actions)
     assert any(not want.is_zero() for _, want in actions)

@@ -48,7 +48,7 @@ def weyl_elements(draw, coefficient=coefficients()):
     def monomial(draw):
         v = tuple(draw(st.integers(0, 2)) for _ in range(2))
         u = tuple(draw(st.integers(0, 2)) for _ in range(2))
-        return WeylElement(GENS, {(v, u): Coefficient.one()})
+        return WeylElement(GENS, {GENS.key(v, u): Coefficient.one()})
     return _sums(draw, monomial, coefficient, WeylElement.zero(GENS))
 
 

@@ -1,0 +1,101 @@
+"""sympy as an independent engine for the commutative layer of the Weyl
+algebra: column determinants of matrices whose entries commute (x only,
+or derivatives only) against ``sympy.Matrix.det``, and exact division
+against ``sympy.div``.  Each check has a negative control: a perturbed
+side must disagree."""
+
+import random
+
+import pytest
+
+from nc_capelli import matrixops as mo
+from nc_capelli import weyl
+from nc_capelli.scalars import GaussianRational
+from nc_capelli.weyl import GeneratorSet, NotDivisible, WeylElement
+
+sympy = pytest.importorskip("sympy")
+
+GENS = GeneratorSet(["x", "y", "z"])
+X = sympy.symbols("x y z")
+D = sympy.symbols("dx dy dz")
+
+
+def _random_terms(rng, degree, count):
+    """[(exponents, value)]: count monomials of total degree <= degree
+    with small nonzero Gaussian-integer values."""
+    out = []
+    for _ in range(count):
+        exps = [0] * GENS.n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(GENS.n)] += 1
+        out.append((tuple(exps),
+                    (rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-1, 1))))
+    return out
+
+
+def _weyl(terms, derivative=False):
+    zero = (0,) * GENS.n
+    out = WeylElement.zero(GENS)
+    for exps, (re, im) in terms:
+        key = GENS.key(zero, exps) if derivative else GENS.key(exps, zero)
+        out = out + WeylElement(GENS, {key: GaussianRational(re, im)})
+    return out
+
+
+def _sympy(terms, symbols):
+    return sum((sympy.Integer(re) + sympy.I * im)
+               * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+               for exps, (re, im) in terms)
+
+
+def _to_sympy(w, symbols):
+    """A Weyl element whose monomials all lie in one part (x or d)."""
+    out = sympy.Integer(0)
+    for key, c in w.terms.items():
+        v, u = GENS.exponents(key)
+        exps = u if any(u) else v
+        out += (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+                ) * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+    return out
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=["x", "d"])
+@pytest.mark.parametrize("seed", range(4))
+def test_coldet_matches_sympy_det(seed, derivative):
+    """Entries in the x alone (or the d alone) commute, so the column
+    determinant is the determinant."""
+    rng = random.Random(seed)
+    n = 2 + seed % 2
+    symbols = D if derivative else X
+    cells = [[_random_terms(rng, 2, rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+    ring = weyl.weyl_ring(GENS)
+    ours = mo.coldet(mo.matrix(ring, [[_weyl(t, derivative) for t in row]
+                                      for row in cells]))
+    assert ours.is_polynomial() != derivative
+    theirs = sympy.Matrix([[_sympy(t, symbols) for t in row] for row in cells])
+    assert sympy.expand(_to_sympy(ours, symbols) - theirs.det()) == 0
+    # negative control: one entry of the sympy side perturbed
+    theirs[n - 1, 0] += symbols[0]
+    assert sympy.expand(_to_sympy(ours, symbols) - theirs.det()) != 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_divide_matches_sympy_div(seed):
+    rng = random.Random(seed)
+    p = _random_terms(rng, 2, 3)
+    q = _random_terms(rng, 2, 2) + [((1, 1, 1), (1, 0))]  # not a constant
+    P, Q = _sympy(p, X), _sympy(q, X)
+    quotient, rest = sympy.div(sympy.expand(P * Q), Q, *X)
+    assert sympy.expand(rest) == 0
+    ours = weyl.exact_divide(_weyl(p) * _weyl(q), _weyl(q))
+    assert sympy.expand(_to_sympy(ours, X) - quotient) == 0
+    # negative control: a perturbed quotient disagrees
+    assert sympy.expand(_to_sympy(ours, X) + X[1] - quotient) != 0
+    # a dividend that sympy leaves a remainder on is not divisible
+    r = [((0, 0, 0), (1, 0))]
+    _, rest = sympy.div(sympy.expand(P * Q + _sympy(r, X)), Q, *X)
+    assert sympy.expand(rest) != 0
+    with pytest.raises(NotDivisible):
+        weyl.exact_divide(_weyl(p) * _weyl(q) + _weyl(r), _weyl(q))

@@ -1,6 +1,9 @@
-"""Weyl algebra: normal ordering, apply, complex pairs, Wick, division."""
+"""Weyl algebra: normal ordering, apply, complex pairs, Wick, division,
+and the packed keys against a tuple-keyed reference."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 from nc_capelli import weyl
 from nc_capelli import matrixops as mo
 from nc_capelli.ringapi import commutator
-from nc_capelli.scalars import Coefficient, GaussianRational
-from nc_capelli.weyl import GeneratorSet, NotDivisible, WeylElement
+from nc_capelli.scalars import G_ONE, Coefficient, GaussianRational, accumulate
+from nc_capelli.weyl import EXP_LIMIT, GeneratorSet, NotDivisible, WeylElement
 
 
 @pytest.fixture
@@ -189,3 +192,151 @@ def test_falling_factorial_action(n, m):
         for k in range(n):
             coef *= m - k
         assert got == (x ** (m - n)).scale(coef)
+
+
+# --- packed keys against a tuple-keyed reference ---------------------------
+
+def _ref_mul(left, right):
+    """Normal-ordered product of {(v, u): value} dicts by the per-generator
+    Leibniz rule d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k)."""
+    out = {}
+    for (v1, u1), c1 in left.items():
+        for (v2, u2), c2 in right.items():
+            choices = [[(k, comb(a, k) * perm(b, k))
+                        for k in range(min(a, b) + 1)]
+                       for a, b in zip(u1, v2)]
+            for picks in product(*choices):
+                factor = 1
+                for _, f in picks:
+                    factor *= f
+                ks = [k for k, _ in picks]
+                mono = (tuple(a + b - k for a, b, k in zip(v1, v2, ks)),
+                        tuple(a + b - k for a, b, k in zip(u1, u2, ks)))
+                accumulate(out, [(mono, c1 * c2 * GaussianRational(factor))])
+    return out
+
+
+def _ref_apply(op, p):
+    """d^a x^b = perm(b, a) x^(b-a) on polynomials, generator by generator."""
+    out = {}
+    for (v, u), c in op.items():
+        for (vp, zero), cp in p.items():
+            factor = 1
+            for a, b in zip(u, vp):
+                factor *= perm(b, a)
+            if factor:
+                mono = (tuple(a + b - k for a, b, k in zip(v, vp, u)), zero)
+                accumulate(out, [(mono, c * cp * GaussianRational(factor))])
+    return out
+
+
+_VALUES = [GaussianRational(1), GaussianRational(-2), GaussianRational(0, 1),
+           GaussianRational(Fraction(1, 3), -1), Coefficient.param("d1"),
+           Coefficient.param("d1") + Coefficient.one()]
+_SMALL = st.integers(0, 3)
+# the x exponents of a left factor may reach EXP_LIMIT - 3; the factor
+# on the right adds at most 3 to them
+_BIG = st.integers(0, 3) | st.integers(EXP_LIMIT - 6, EXP_LIMIT - 3)
+
+
+@st.composite
+def _tuple_terms(draw, n, vexp=_SMALL, uexp=_SMALL, polynomial=False):
+    out = {}
+    for _ in range(draw(st.integers(0, 3))):
+        v = tuple(draw(vexp) for _ in range(n))
+        u = (0,) * n if polynomial else tuple(draw(uexp) for _ in range(n))
+        out[v, u] = draw(st.sampled_from(_VALUES))
+    return out
+
+
+def _packed(gens, terms):
+    return WeylElement(gens, {gens.key(v, u): c for (v, u), c in terms.items()})
+
+
+def _unpacked(w):
+    return {w.gens.exponents(k): c for k, c in w.terms.items()}
+
+
+_NAMES = ["x", "y", "z"]
+
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_packed_product_matches_reference(data, n):
+    """Left x and right d exponents reach the field limit: they never
+    meet in a Leibniz step, so the reference stays cheap."""
+    gens = GeneratorSet(_NAMES[:n])
+    left = data.draw(_tuple_terms(n, vexp=_BIG))
+    right = data.draw(_tuple_terms(n, uexp=_BIG))
+    got = _packed(gens, left) * _packed(gens, right)
+    assert _unpacked(got) == _ref_mul(left, right)
+    assert got == _packed(gens, _ref_mul(left, right))
+    into = {0: G_ONE}
+    _packed(gens, left).mul_into(_packed(gens, right), into, negate=True)
+    assert WeylElement(gens, into) == WeylElement.one(gens) - got
+
+
+@given(st.data(), st.integers(1, 3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_packed_apply_matches_reference(data, n, big_target):
+    """Either the operator's x exponents or the target's reach the limit."""
+    gens = GeneratorSet(_NAMES[:n])
+    op = data.draw(_tuple_terms(n, vexp=_SMALL if big_target else _BIG))
+    p = data.draw(_tuple_terms(n, vexp=_BIG if big_target else _SMALL,
+                               polynomial=True))
+    got = _packed(gens, op).apply(_packed(gens, p))
+    assert _unpacked(got) == _ref_apply(op, p)
+    assert got.is_polynomial()
+
+
+class TestFieldLimit:
+    """An exponent past EXP_LIMIT raises OverflowError; it never wraps
+    into the next field."""
+
+    @pytest.fixture
+    def top(self, xy):
+        return WeylElement(xy, {xy.key((EXP_LIMIT, 0), (0, 0)): G_ONE})
+
+    def test_key_and_exponents(self, xy):
+        key = xy.key((EXP_LIMIT, 1), (0, EXP_LIMIT))
+        assert xy.exponents(key) == ((EXP_LIMIT, 1), (0, EXP_LIMIT))
+        with pytest.raises(OverflowError):
+            xy.key((EXP_LIMIT + 1, 0), (0, 0))
+        with pytest.raises(OverflowError):
+            xy.key((0, 0), (0, EXP_LIMIT + 1))
+        with pytest.raises(ValueError):
+            xy.key((-1, 0), (0, 0))
+        with pytest.raises(ValueError):
+            xy.key((1,), (0, 0))
+
+    def test_product_at_and_past_the_limit(self, xy, top):
+        x, y, dx = var(xy, "x"), var(xy, "y"), der(xy, "x")
+        below = WeylElement(xy, {xy.key((EXP_LIMIT - 1, 0), (0, 0)): G_ONE})
+        assert below * x == top
+        assert (top * y).render() == f"x^{EXP_LIMIT}*y"
+        assert dx * top == top * dx + below.scale(EXP_LIMIT)
+        for a, b in ((top, x), (x, top), (top * dx, x * x), (top + y, x)):
+            with pytest.raises(OverflowError):
+                a * b
+        with pytest.raises(OverflowError):
+            mo.coldet(mo.matrix(weyl.weyl_ring(xy), [[top, y], [y, x]]))
+
+    def test_apply_past_the_limit(self, xy, top):
+        x, dx = var(xy, "x"), der(xy, "x")
+        assert dx.apply(top).render() == f"{EXP_LIMIT}*x^{EXP_LIMIT - 1}"
+        with pytest.raises(OverflowError):
+            top.apply(x)
+        with pytest.raises(OverflowError):
+            (x * x * dx).apply(top * var(xy, "y") + x)
+
+    def test_power_raises_before_multiplying(self, xy):
+        x, dx = var(xy, "x"), der(xy, "x")
+        with pytest.raises(OverflowError):
+            x ** (EXP_LIMIT + 1)
+        with pytest.raises(OverflowError):
+            (x * x + dx) ** (EXP_LIMIT // 2 + 1)
+        with pytest.raises(OverflowError):
+            x ** 99999999999
+        assert (x * x) ** 3 == x ** 6
+        with pytest.raises(ValueError):
+            x ** -1
