@@ -102,6 +102,10 @@ class _Parser:
         if self.peek() in ("^", "**"):
             self.take()
             exp = int(self.take())
+            # a power multiplies exp times in every context but a Weyl
+            # monomial's, so a huge one would run until killed
+            if exp > weyl.EXP_LIMIT:
+                raise ValueError(f"exponent {exp} above {weyl.EXP_LIMIT}")
             base = base ** exp
         return base
 

@@ -9,10 +9,12 @@ multi-index machinery used by the rectangular identities.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm, prod
 from operator import add, sub
 
 from .ringapi import im_part, re_part
-from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
+from .scalars import C_I_QUARTER, C_QUARTER, Coefficient, GaussianRational
+from .weyl import GaussIntWeyl, WeylElement
 
 
 class RingMatrix:
@@ -87,9 +89,24 @@ def matmul(A, B):
 def coldet(M):
     """Column determinant: sum over permutations sigma of
     sgn(sigma) * M[sigma(1),1] * M[sigma(2),2] * ... with the products
-    taken column by column, left to right (see _laplace)."""
+    taken column by column, left to right (see _laplace).
+
+    A Weyl matrix whose values are all bare Gaussian rationals expands
+    on Python ints: column j is scaled by the lcm D_j of its values'
+    denominators into GaussIntWeyl form, and the determinant of the
+    scaled matrix is divided by the product of the D_j at the end."""
     one = M.ring.one
-    return _laplace(M, one, type(one).mul_into)
+    if not (isinstance(one, WeylElement) and all(
+            type(c) is GaussianRational
+            for row in M.entries for e in row for c in e.terms.values())):
+        return _laplace(M, one, type(one).mul_into)
+    scales = [lcm(*(c.d for row in M.entries for c in row[j].terms.values()))
+              for j in range(M.cols)]
+    scaled = RingMatrix(M.ring, [
+        [GaussIntWeyl.from_weyl(e, D) for e, D in zip(row, scales)]
+        for row in M.entries])
+    unit = GaussIntWeyl(one.gens, {0: 1}, {})
+    return _laplace(scaled, unit, GaussIntWeyl.mul_into).to_weyl(prod(scales))
 
 
 # perfbench/spans.py traces this name; it is coldet itself.
@@ -132,7 +149,8 @@ def _laplace(M, leaf, act):
     """Laplace recursion along the first column, built bottom-up: the
     minor on no rows is ``leaf``, and an entry e enters its column's
     expansion through ``act(e, minor, out, negate)``, which adds e acting
-    on the minor, negated at odd rows, into the new minor's dict ``out``.
+    on the minor, negated at odd rows, into ``out``, the ``terms`` of a
+    new minor ``leaf._new({})``.  Entries and minors are false when zero.
     With ``leaf`` the unit and ``act`` the element class's ``mul_into``
     this is the column determinant; with a polynomial and
     ``WeylElement.apply_into`` it is the determinant's action on that
@@ -144,6 +162,14 @@ def _laplace(M, leaf, act):
     dict, in place: no per-term dict, no product of the whole entry and
     no copy of the sum sit beside it (this bounds peak memory).  Other
     rings add each entry's product (see ``SparseElement.mul_into``).
+
+    Column scaling (``coldet``'s Gaussian-integer path): the column
+    determinant is linear in each column, since every term takes exactly
+    one entry from each column, and a scalar D_j is central, so it moves
+    out of any product.  So coldet(M with column j times D_j) =
+    D_j coldet(M), and with every column j scaled by the lcm D_j of its
+    denominators, coldet(M) is the scaled determinant, computed exactly
+    in Z[i], divided by the product of the D_j.
     """
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")
@@ -153,13 +179,14 @@ def _laplace(M, leaf, act):
     for col in range(n - 1, -1, -1):
         bigger = {}
         for rows in combinations(range(n), n - col):
-            out = {}
+            minor = leaf._new({})
+            out = minor.terms
             for pos, row in enumerate(rows):
                 e = entries[row][col]
                 sub = minors[rows[:pos] + rows[pos + 1 :]]
-                if not (e.is_zero() or sub.is_zero()):
+                if e and sub:
                     act(e, sub, out, pos % 2)
-            bigger[rows] = leaf._new(out)
+            bigger[rows] = minor
         minors = bigger
     return minors[tuple(range(n))]
 

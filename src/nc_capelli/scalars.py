@@ -39,7 +39,8 @@ class GaussianRational:
     The form is canonical: ``d > 0`` and ``gcd(p, q, d) == 1``, so ``==``
     and ``hash`` compare the fields.  ``GaussianRational(re, im)`` takes
     an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
-    ``im`` read the parts back as ``Fraction``s.
+    ``im`` read the parts back as ``Fraction``s.  Zero is false, and
+    ``*`` also takes an int factor.
     It also reads as the constant Coefficient it equals (``terms``,
     ``bar``, ``render``), so a parameter-free value can be stored bare.
     """
@@ -83,6 +84,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
+            if type(other) is int:  # an integer factor, such as a Leibniz one
+                return _make(self.p * other, self.q * other, self.d)
             return NotImplemented
         a, b = self.p, self.q
         c, e = other.p, other.q
@@ -115,6 +118,9 @@ class GaussianRational:
 
     def is_zero(self):
         return not self.p and not self.q
+
+    def __bool__(self):
+        return self.p != 0 or self.q != 0
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
@@ -189,7 +195,8 @@ def accumulate(out, items):
 class SparseElement:
     """Shared arithmetic of the sparse sums: a dict ``terms`` from a
     hashable monomial to a nonzero value, with one ``+``, ``-``, unary
-    ``-``, ``scale``, ``**``, ``is_zero``, ``render`` and ``__repr__``.
+    ``-``, ``scale``, ``**``, ``is_zero`` (and truth: zero is false),
+    ``render`` and ``__repr__``.
 
     ``Coefficient`` (values ``GaussianRational``), the engine classes
     ``WeylElement`` (bare ``GaussianRational`` values where no parameter
@@ -269,6 +276,9 @@ class SparseElement:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def render(self):
         if not self.terms:
@@ -369,8 +379,12 @@ class Coefficient(SparseElement):
 
     # --- ring operations ---------------------------------------------
 
-    # ``other`` may be a GaussianRational, read through its ``terms`` view.
+    # ``other`` may be a GaussianRational, read through its ``terms`` view,
+    # or an int factor (such as a Leibniz one).
     def __mul__(self, other):
+        if type(other) is int:
+            return Coefficient({m: g * other for m, g in self.terms.items()}
+                               if other else {})
         st, ot = self.terms, other.terms
         if not st or not ot:
             return Coefficient({})

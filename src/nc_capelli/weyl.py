@@ -24,19 +24,11 @@ when ((b | guard) - a) & guard == guard, since no field then borrows.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from math import comb, perm
 
 from .ringapi import Ring
-from .scalars import (
-    C_HALF,
-    C_I,
-    G_ONE,
-    GaussianRational,
-    SparseElement,
-    accumulate,
-)
+from .scalars import C_HALF, C_I, G_ONE, SparseElement, _make
 
 # Chosen by measurement: the rect n = 3 column determinants ran as fast
 # with 16-bit fields as with 8-bit ones, so the wider field is kept
@@ -108,9 +100,6 @@ class GeneratorSet:
 
     def __repr__(self):
         return f"GeneratorSet({list(self.names)})"
-
-
-_int_gauss = cache(GaussianRational)
 
 
 class WeylElement(SparseElement):
@@ -233,16 +222,16 @@ class WeylElement(SparseElement):
                     _overflow()
                 c = cop * cp
                 if factor != 1:
-                    c = c * _int_gauss(factor)
+                    c = c * factor
                 cur = get(key)
                 if cur is None:
                     out[key] = c
                 else:
                     c = cur + c
-                    if c.is_zero():
-                        del out[key]
-                    else:
+                    if c:
                         out[key] = c
+                    else:
+                        del out[key]
         return out
 
     # --- rendering ----------------------------------------------------
@@ -294,7 +283,9 @@ def _mul_kernel(gens, left, right, out, negate=False):
     """Add the normal-ordered product of two {key: value} dicts into the
     dict ``out``, negated if ``negate``; returns out.
 
-    Values need only ``+``, ``-``, ``*`` and ``is_zero()``.  They lie in
+    Values need only ``+``, unary ``-``, ``*`` (with each other and with
+    an int Leibniz factor) and truth (zero is false): bare or parametric
+    Gaussian values, or the plain ints of ``GaussIntWeyl``.  They lie in
     a domain, so a product of two is never zero and only sums are
     pruned.  A left term whose derivative part is empty or a single
     first-order d_g takes a direct two-branch Leibniz step; any other
@@ -313,9 +304,18 @@ def _mul_kernel(gens, left, right, out, negate=False):
                 if key & guard:
                     _overflow()
                 c = c1 * c2
-                accumulate(out, (
-                    (key - offset, c if factor == 1 else c * _int_gauss(factor))
-                    for offset, factor in _reorder(dsup, k2, dshift)))
+                for offset, factor in _reorder(dsup, k2, dshift):
+                    t = c if factor == 1 else c * factor
+                    k = key - offset
+                    cur = get(k)
+                    if cur is None:
+                        out[k] = t
+                    else:
+                        t = cur + t
+                        if t:
+                            out[k] = t
+                        else:
+                            del out[k]
             continue
         xshift = dsup[0][0] if dsup else -1
         step = (1 << xshift) | (1 << (xshift + dshift)) if dsup else 0
@@ -329,27 +329,94 @@ def _mul_kernel(gens, left, right, out, negate=False):
                 out[key] = c
             else:
                 s = cur + c
-                if s.is_zero():
-                    del out[key]
-                else:
+                if s:
                     out[key] = s
+                else:
+                    del out[key]
             if xshift < 0:
                 continue
             b = (k2 >> xshift) & FIELD_MASK
             if b:
                 key -= step
                 if b != 1:
-                    c = c * _int_gauss(b)
+                    c = c * b
                 cur = get(key)
                 if cur is None:
                     out[key] = c
                 else:
                     s = cur + c
-                    if s.is_zero():
-                        del out[key]
-                    else:
+                    if s:
                         out[key] = s
+                    else:
+                        del out[key]
     return out
+
+
+class GaussIntWeyl:
+    """A parameter-free Weyl element scaled into Z[i]: its real and
+    imaginary parts as two {key: int} dicts, the pair ``terms``.
+
+    ``matrixops.coldet`` expands a matrix whose values are all bare
+    Gaussian rationals in this form, so the kernel adds and multiplies
+    Python ints and builds one GaussianRational per result term at the
+    end (``to_weyl``).  It has what ``matrixops._laplace`` asks of an
+    entry and a minor: truth, ``_new`` and ``mul_into``.
+    """
+
+    __slots__ = ("gens", "terms")
+
+    def __init__(self, gens, re, im):
+        self.gens = gens
+        self.terms = (re, im)
+
+    @staticmethod
+    def from_weyl(w, scale):
+        """w times the int ``scale``, a multiple of every denominator
+        of w's values."""
+        re, im = {}, {}
+        for k, c in w.terms.items():
+            m = scale // c.d
+            if c.p:
+                re[k] = c.p * m
+            if c.q:
+                im[k] = c.q * m
+        return GaussIntWeyl(w.gens, re, im)
+
+    def to_weyl(self, den):
+        """The WeylElement self / den."""
+        re, im = self.terms
+        terms = {k: _make(p, im.get(k, 0), den) for k, p in re.items()}
+        terms.update((k, _make(0, q, den)) for k, q in im.items()
+                     if k not in re)
+        return WeylElement(self.gens, terms)
+
+    def __bool__(self):
+        re, im = self.terms
+        return bool(re or im)
+
+    def _new(self, re):
+        """A sibling with real part ``re`` and no imaginary part."""
+        return GaussIntWeyl(self.gens, re, {})
+
+    def mul_into(self, other, out, negate=False):
+        """Add self*other, negated if ``negate``, into the pair of dicts
+        ``out``: re*re - im*im into the real part, re*im + im*re into
+        the imaginary part, skipping an empty part; returns out."""
+        gens = self.gens
+        re, im = self.terms
+        ore, oim = other.terms
+        out_re, out_im = out
+        if re:
+            if ore:
+                _mul_kernel(gens, re, ore, out_re, negate)
+            if oim:
+                _mul_kernel(gens, re, oim, out_im, negate)
+        if im:
+            if oim:
+                _mul_kernel(gens, im, oim, out_re, not negate)
+            if ore:
+                _mul_kernel(gens, im, ore, out_im, negate)
+        return out
 
 
 def complex_pair(gens, base):

@@ -62,6 +62,21 @@ class TestExpand:
         assert code == 2 and not out
         assert err.count("\n") == 1 and err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("context, text", [
+        ("gl2", "E12^99999999999"),
+        ("swap", "psi^99999999999"),
+        ("weyl", "1^99999999999"),
+    ])
+    def test_huge_power_exit_2(self, capsys, context, text):
+        """A power that would multiply its base more than EXP_LIMIT
+        times is refused before it multiplies, in every context."""
+        t0 = time.monotonic()
+        code, out, err = run_cli(["expand", "--context", context, text],
+                                 capsys)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert time.monotonic() - t0 < 5
+
     def test_deep_nesting_exit_2(self, capsys):
         text = "(" * 300 + "x" + ")" * 300
         code, _, err = run_cli(["expand", "--context", "weyl", text], capsys)

@@ -2,16 +2,19 @@
 decomplexification, correction blocks, multi-indexes."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import pbw, weyl
 from nc_capelli.ringapi import COEFFICIENT_RING
-from nc_capelli.scalars import Coefficient
-from nc_capelli.weyl import GeneratorSet, WeylElement
+from nc_capelli.scalars import Coefficient, GaussianRational
+from nc_capelli.weyl import EXP_LIMIT, GaussIntWeyl, GeneratorSet, WeylElement
 
 
 def C(value, den=None):
@@ -66,6 +69,96 @@ class TestColdet:
             mo.coldet(M)
         with pytest.raises(ValueError):
             mo.coldet_permutations(M)
+
+
+_XY = GeneratorSet(["x", "y"])
+_X = WeylElement.variable(_XY, "x")
+_EXPONENT = st.integers(0, 2)
+_PART = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def _bare_entry(draw):
+    """A parameter-free Weyl element: up to three terms whose values have
+    denominators in {1, 2, 3, 4, 6} and often an imaginary part."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = _XY.key([draw(_EXPONENT) for _ in "xy"],
+                      [draw(_EXPONENT) for _ in "xy"])
+        value = GaussianRational(draw(_PART), draw(_PART))
+        if value:
+            terms[key] = value
+    return WeylElement(_XY, terms)
+
+
+@st.composite
+def _bare_matrix(draw):
+    """A parameter-free Weyl matrix of size 1 to 4 with zero entries,
+    sometimes an all-zero column, and sometimes (at_limit) a shape whose
+    determinant has an exponent past EXP_LIMIT in every term: column 0 is
+    (c x^EXP_LIMIT, 0, ..., 0) and the rest below row 0 is upper
+    triangular with diagonal entries x * (nonzero), so every path
+    multiplies x^EXP_LIMIT by a term holding x."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(_bare_entry()) for _ in range(n)] for _ in range(n)]
+    zero = WeylElement.zero(_XY)
+    if draw(st.integers(0, 4)) == 0:
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = zero
+    at_limit = n >= 2 and draw(st.integers(0, 4)) == 0
+    if at_limit:
+        c = GaussianRational(draw(_PART) or 1, draw(_PART))
+        rows[0][0] = WeylElement(_XY, {_XY.key([EXP_LIMIT, 0], [0, 0]): c})
+        for i in range(1, n):
+            rows[i][0] = zero
+            for j in range(1, i):
+                rows[i][j] = zero
+            rows[i][i] = _X * (rows[i][i] + WeylElement.one(_XY))
+            if not rows[i][i]:
+                rows[i][i] = _X
+    return mo.matrix(weyl.weyl_ring(_XY), rows), at_limit
+
+
+def _outcome(det, M):
+    try:
+        return det(M)
+    except OverflowError:
+        return OverflowError
+
+
+def _fail(*args):
+    raise AssertionError("the other path ran")
+
+
+@given(_bare_matrix())
+@settings(max_examples=200, deadline=None)
+def test_gauss_int_coldet_matches_generic(case):
+    """coldet of a parameter-free Weyl matrix runs on Gaussian integers
+    (never through WeylElement.mul_into) and equals, term for term, the
+    generic Laplace recursion and the permutation walk; at the exponent
+    limit every path raises OverflowError.  With one parametric value
+    (d1) it takes the generic path (never GaussIntWeyl.mul_into) and
+    still equals the permutation walk."""
+    M, at_limit = case
+    one = M.ring.one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeylElement, "mul_into", _fail)
+        got = _outcome(mo.coldet, M)
+    generic = _outcome(lambda M: mo._laplace(M, one, WeylElement.mul_into), M)
+    reference = _outcome(mo.coldet_permutations, M)
+    assert got == generic == reference
+    assert (got is OverflowError) == at_limit
+    if at_limit:
+        return
+    # one value becomes parametric
+    d1 = Coefficient.param("d1")
+    M.entries[0][-1] = M.entries[0][-1] + WeylElement(_XY, {0: d1})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GaussIntWeyl, "mul_into", _fail)
+        got = mo.coldet(M)
+    assert got == mo.coldet_permutations(M)
+    assert got == mo._laplace(M, one, WeylElement.mul_into)
 
 
 class TestDecomplexify:

@@ -1,13 +1,15 @@
 """sympy as an independent engine for the commutative layer of the Weyl
 algebra: column determinants of matrices whose entries commute (x only,
-or derivatives only) against ``sympy.Matrix.det``, and exact division
-against ``sympy.div``.  Each check has a negative control: a perturbed
-side must disagree."""
+or derivatives only) against ``sympy.Matrix.det``, exact division
+against ``sympy.div``, and the Capelli identity as an operator action
+computed with ``sympy.diff``.  Each check has a negative control: a
+perturbed side must disagree."""
 
 import random
 
 import pytest
 
+from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import weyl
 from nc_capelli.scalars import GaussianRational
@@ -48,15 +50,17 @@ def _sympy(terms, symbols):
                for exps, (re, im) in terms)
 
 
+def _value(c):
+    return sympy.Rational(c.p, c.d) + sympy.I * sympy.Rational(c.q, c.d)
+
+
 def _to_sympy(w, symbols):
     """A Weyl element whose monomials all lie in one part (x or d)."""
     out = sympy.Integer(0)
     for key, c in w.terms.items():
         v, u = GENS.exponents(key)
         exps = u if any(u) else v
-        out += (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-                ) * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+        out += _value(c) * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
     return out
 
 
@@ -99,3 +103,55 @@ def test_exact_divide_matches_sympy_div(seed):
     assert sympy.expand(rest) != 0
     with pytest.raises(NotDivisible):
         weyl.exact_divide(_weyl(p) * _weyl(q) + _weyl(r), _weyl(q))
+
+
+def _diff(f, symbols, exps):
+    """d^exps f, by sympy.diff."""
+    for s, e in zip(symbols, exps):
+        f = sympy.diff(f, s, e)
+    return f
+
+
+def _act(w, symbols, f):
+    """The Weyl operator w acting on the sympy polynomial f: each term
+    c x^v d^u takes f to c x^v (d^u f)."""
+    out = sympy.Integer(0)
+    for key, c in w.terms.items():
+        v, u = w.gens.exponents(key)
+        out += (_value(c) * sympy.Mul(*(s ** e for s, e in zip(symbols, v)))
+                * _diff(f, symbols, u))
+    return sympy.expand(out)
+
+
+def _det_of_derivatives(n, symbols, f):
+    """det(D) f for the n x n matrix D of the derivatives d/dz_ij, all
+    in sympy: the derivatives commute, so det(D) is the polynomial
+    det(Z) with each z_ij read as d/dz_ij."""
+    det = sympy.Poly(sympy.Matrix(n, n, symbols).det(), *symbols)
+    return sum(coeff * _diff(f, symbols, exps) for exps, coeff in det.terms())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_capelli_action_matches_sympy(seed, n):
+    """capelli.plain by operator action: coldet(Z D^t + diag(n-1, ..., 0))
+    (a parameter-free Weyl matrix, so coldet runs on Gaussian integers),
+    applied by sympy.diff to a random polynomial f, equals
+    det(Z) det(D) f computed wholly in sympy.  Negative control at n = 2:
+    without the shifts the actions differ."""
+    rng = random.Random(seed)
+    ring, gens, Z, D = idn.classical_weyl(n, "plain")
+    symbols = sympy.symbols(gens.names)
+    # z_11 ... z_nn makes det(D) f nonzero; the rest is random
+    f = sympy.Mul(*symbols[::n + 1]) * (1 + symbols[rng.randrange(n * n)])
+    for _ in range(4):
+        f += rng.randint(-3, 3) * sympy.Mul(
+            *(rng.choice(symbols) for _ in range(rng.randint(0, 3))))
+    ZDt = mo.matmul(Z, mo.transpose(D))
+    lhs = mo.coldet(ZDt + idn.shift_diag(ring, idn.capelli_shifts(n)))
+    rhs = sympy.expand(sympy.Matrix(n, n, symbols).det()
+                       * _det_of_derivatives(n, symbols, f))
+    assert rhs != 0
+    assert _act(lhs, symbols, f) == rhs
+    if n == 2:
+        assert _act(mo.coldet(ZDt), symbols, f) != rhs
