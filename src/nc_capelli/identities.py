@@ -360,7 +360,10 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens):
     """Residual-is-zero for the raw-transpose reading, by operator
     action: scan the monomials of degree <= 3 for a distinguishing
     witness (proves nonzero) and fall back to the full expansion only
-    when no witness appears."""
+    when no witness appears.  Both stay: the scan always finds a witness
+    in the suite and costs about 2 ms at n = 2 and 0.03 s at n = 3, while
+    the expansion, the only proof of a zero residual, costs about 10 ms
+    at n = 2 and 14 s (a 6x6 coldet) at n = 3."""
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet(ZR)
     ddet = mo.coldet(alt)

@@ -194,44 +194,33 @@ class WeylElement(SparseElement):
 
     def apply_into(self, p, out, negate=False):
         """Add each term of self acting on the polynomial p, negated if
-        ``negate``, straight into the dict ``out``; returns out.  A pair
-        of terms is skipped before its values multiply when the
-        polynomial term has fewer x_g than the operator term has d_g."""
+        ``negate``, straight into the dict ``out``; returns out.  p is
+        differentiated once per derivative part d^u of self (a term of p
+        with fewer x_g than d^u has d_g is skipped before any value
+        multiplies), and the x^v values of that part times the derivative
+        go through _mul_kernel, which takes its direct branch."""
         self._require_same(p)
         if not p.is_polynomial():
             raise ValueError("apply target must be a polynomial")
-        dshift, guard = self.gens.dshift, self.gens.guard
-        pitems = p.terms.items()
-        get = out.get
-        for k, cop in self.terms.items():
-            if negate:
-                cop = -cop
+        gens = self.gens
+        dshift, guard = gens.dshift, gens.guard
+        groups = {}
+        for k, c in self.terms.items():
             u = k >> dshift
+            groups.setdefault(u, {})[k ^ (u << dshift)] = c
+        for u, coeffs in groups.items():
             dsup = _fields(u)
-            # x^v d^u takes x^b to perm(b, u) x^(v+b-u), field by field
-            delta = (k ^ (u << dshift)) - u
-            for kp, cp in pitems:
+            derivative = {}
+            for kp, cp in p.terms.items():
                 # divisibility test of the module docstring
                 if ((kp | guard) - u) & guard != guard:
                     continue
                 factor = 1
                 for shift, a in dsup:
                     factor *= perm((kp >> shift) & FIELD_MASK, a)
-                key = kp + delta
-                if key & guard:
-                    _overflow()
-                c = cop * cp
-                if factor != 1:
-                    c = c * factor
-                cur = get(key)
-                if cur is None:
-                    out[key] = c
-                else:
-                    c = cur + c
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
+                derivative[kp - u] = cp if factor == 1 else cp * factor
+            if derivative:
+                _mul_kernel(gens, coeffs, derivative, out, negate)
         return out
 
     # --- rendering ----------------------------------------------------
@@ -289,7 +278,9 @@ def _mul_kernel(gens, left, right, out, negate=False):
     a domain, so a product of two is never zero and only sums are
     pruned.  A left term whose derivative part is empty or a single
     first-order d_g takes a direct two-branch Leibniz step; any other
-    goes through _reorder.
+    goes through _reorder.  Callers: ``WeylElement.__mul__``,
+    ``mul_into`` and ``apply_into``, ``exact_divide`` and
+    ``GaussIntWeyl.mul_into``.
     """
     dshift, guard = gens.dshift, gens.guard
     ritems = right.items()
@@ -458,14 +449,14 @@ def wick(p, momentum_map, target):
     return out
 
 
-def _lead(p):
-    exponents = p.gens.exponents
+def _lead(gens, terms):
+    exponents = gens.exponents
 
     def order(mono):
         v = exponents(mono)[0]
         return sum(v), v
 
-    return max(p.terms, key=order)
+    return max(terms, key=order)
 
 
 def exact_divide(p, q):
@@ -474,29 +465,32 @@ def exact_divide(p, q):
     Coefficient division requires the leading coefficient of q to be a
     Gaussian-rational constant (true for every divisor the suite uses:
     determinant powers and Vandermonde factors); ValueError otherwise.
+    Each quotient term times q is subtracted in place from the remainder
+    dict, whose leading term falls at every step, so no key repeats.
     """
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("exact_divide works on polynomials")
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    gens = p.gens
-    lq = _lead(q)
+    gens, guard = p.gens, p.gens.guard
+    lq = _lead(gens, q.terms)
     cq = q.terms[lq]
     if not cq.terms.keys() <= {()}:
         raise ValueError(f"not a constant: {cq.render()}")
     inv = cq.terms[()].inverse()
-    quotient = WeylElement.zero(gens)
-    rem = p
-    while not rem.is_zero():
-        lr = _lead(rem)
-        if ((lr | gens.guard) - lq) & gens.guard != gens.guard:
+    quotient = {}
+    rem = dict(p.terms)
+    while rem:
+        lr = _lead(gens, rem)
+        if ((lr | guard) - lq) & guard != guard:
             raise NotDivisible(f"leading term {gens.exponents(lr)} "
                                f"not divisible by {gens.exponents(lq)}")
-        c = rem.terms[lr] * inv
-        t = WeylElement(gens, {lr - lq: c})
-        quotient = quotient + t
-        rem = rem - t * q
-    return quotient
+        t = {lr - lq: rem[lr] * inv}
+        quotient.update(t)
+        _mul_kernel(gens, t, q.terms, rem, negate=True)
+        if lr in rem:  # else the loop would never end
+            raise ArithmeticError("leading term did not cancel")
+    return WeylElement(gens, quotient)
 
 
 def weyl_ring(gens):

@@ -2,8 +2,9 @@
 algebra: column determinants of matrices whose entries commute (x only,
 or derivatives only) against ``sympy.Matrix.det``, exact division
 against ``sympy.div``, and the Capelli identity as an operator action
-computed with ``sympy.diff``.  Each check has a negative control: a
-perturbed side must disagree."""
+computed with ``sympy.diff``; and the Harish-Chandra image of the
+shifted Capelli determinant against a product expanded by sympy.  Each
+check has a negative control: a perturbed side must disagree."""
 
 import random
 
@@ -11,8 +12,8 @@ import pytest
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli import weyl
-from nc_capelli.scalars import GaussianRational
+from nc_capelli import pbw, weyl
+from nc_capelli.scalars import Coefficient, GaussianRational
 from nc_capelli.weyl import GeneratorSet, NotDivisible, WeylElement
 
 sympy = pytest.importorskip("sympy")
@@ -155,3 +156,26 @@ def test_capelli_action_matches_sympy(seed, n):
     assert _act(lhs, symbols, f) == rhs
     if n == 2:
         assert _act(mo.coldet(ZDt), symbols, f) != rhs
+
+
+def _hc_image(n, half):
+    """hc(coldet(E + diag(n-1, ..., 0) - half)) over U(gl_n), built as
+    ``verify_hc_image`` builds it, rendered and parsed by sympy."""
+    _, ring, E = idn.gln_E_matrix(n)
+    shifts = [s - half for s in idn.capelli_shifts(n)]
+    image = pbw.hc_projection(mo.coldet(E + idn.shift_diag(ring, shifts)))
+    return sympy.sympify(image.render().replace("^", "**"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hc_image_matches_sympy(n):
+    """center.hc: the image is prod_i (lam_i + (n+1-2i)/2), expanded by
+    sympy.  Negative control for n >= 2: without the -(n-1)/2 shift the
+    two disagree."""
+    lam = sympy.symbols(f"lam1:{n + 1}")
+    expected = sympy.expand(sympy.Mul(*(
+        lam[i - 1] + sympy.Rational(n + 1 - 2 * i, 2) for i in range(1, n + 1))))
+    half = Coefficient.from_rational(n - 1, 2)
+    assert sympy.expand(_hc_image(n, half) - expected) == 0
+    if n >= 2:
+        assert sympy.expand(_hc_image(n, Coefficient.zero()) - expected) != 0

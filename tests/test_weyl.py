@@ -279,14 +279,20 @@ def test_packed_product_matches_reference(data, n):
 @given(st.data(), st.integers(1, 3), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_packed_apply_matches_reference(data, n, big_target):
-    """Either the operator's x exponents or the target's reach the limit."""
+    """Either the operator's x exponents or the target's reach the limit.
+    The operator's d exponents are 0 or 2, so that several of its terms
+    often share a derivative part (apply differentiates once per part)."""
     gens = GeneratorSet(_NAMES[:n])
-    op = data.draw(_tuple_terms(n, vexp=_SMALL if big_target else _BIG))
+    op = data.draw(_tuple_terms(n, vexp=_SMALL if big_target else _BIG,
+                                uexp=st.sampled_from((0, 2))))
     p = data.draw(_tuple_terms(n, vexp=_BIG if big_target else _SMALL,
                                polynomial=True))
     got = _packed(gens, op).apply(_packed(gens, p))
     assert _unpacked(got) == _ref_apply(op, p)
     assert got.is_polynomial()
+    into = {0: G_ONE}
+    _packed(gens, op).apply_into(_packed(gens, p), into, negate=True)
+    assert WeylElement(gens, into) == WeylElement.one(gens) - got
 
 
 class TestFieldLimit:
