@@ -102,8 +102,9 @@ class _Parser:
         if self.peek() in ("^", "**"):
             self.take()
             exp = int(self.take())
-            # a power multiplies exp times in every context but a Weyl
-            # monomial's, so a huge one would run until killed
+            # a power squares and multiplies, but its words and
+            # exponents still grow with exp, so every context shares the
+            # Weyl field limit
             if exp > weyl.EXP_LIMIT:
                 raise ValueError(f"exponent {exp} above {weyl.EXP_LIMIT}")
             base = base ** exp

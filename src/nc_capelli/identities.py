@@ -20,9 +20,7 @@ from typing import Callable
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
 from .ringapi import COEFFICIENT_RING, commutator
-from .scalars import C_HALF, G_ONE, Coefficient, GaussianRational
-
-C_ZERO = Coefficient.zero()
+from .scalars import C_HALF, C_ZERO, G_ONE, Coefficient, GaussianRational
 
 
 @dataclass
@@ -402,7 +400,7 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
                            {"n": n, "sign": sign}, lhs, rhs, t0, notes=notes)
 
 
-def verify_rectangular(kind, n, I, J, sign="plus"):
+def verify_rectangular(kind, n, I, J):
     """Rectangular decomplexified Capelli / Turnbull: for multi-indexes
     I, J of length r,
     coldet_2r((Z D^t)^R_IJ + Q^R CorrTriDiag(r)) =
@@ -429,7 +427,7 @@ def verify_rectangular(kind, n, I, J, sign="plus"):
         ring,
         [[ring.one if I[a] == J[b] else ring.zero for b in range(r)] for a in range(r)],
     )
-    lhs = corrected_coldet(sub, Q, capelli_shifts(r), sign)
+    lhs = corrected_coldet(sub, Q, capelli_shifts(r), "plus")
     ZR = mo.decomplexify(Z)
     DtR = mo.decomplexify(Dt)
     dI, dJ = mo.double_index(I), mo.double_index(J)
@@ -438,7 +436,7 @@ def verify_rectangular(kind, n, I, J, sign="plus"):
                for L in mo.multi_indexes(2 * n, 2 * r)), ring.zero)
     return residual_report(
         f"rect.{'antisym' if conditional else kind}", ring.name,
-        {"n": n, "r": r, "I": list(I), "J": list(J), "sign": sign},
+        {"n": n, "r": r, "I": list(I), "J": list(J), "sign": "plus"},
         lhs, rhs, t0, conditional=conditional)
 
 

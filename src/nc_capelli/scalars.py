@@ -267,11 +267,18 @@ class SparseElement:
             out, ((-self if negate else self) * other).terms.items())
 
     def __pow__(self, n):
+        """Square and multiply, high bit first: about 2 log2(n) products,
+        each odd step by self, so a word power at the exponent limit does
+        not rewrite ever longer words n times."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        result = self._one()
-        for _ in range(n):
-            result = result * self
+        if n == 0:
+            return self._one()
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self):

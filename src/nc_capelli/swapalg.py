@@ -13,7 +13,8 @@ rewriting of shared words is memoized per table.  Pair policies give the
 lexicographically least word reachable by allowed swaps (with signs),
 and tables may carry extra two-letter rewrite rules (an empty one kills
 the word).  A Newman-style local confluence self-test runs at table
-construction on all letter triples.
+construction on all letter triples, PBW specs included; for their
+bracket rules it is the Jacobi identity (Bergman's diamond lemma).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class SwapTable:
             self.barred = frozenset(barred)
 
         self._memo = {}
-        self._check()
+        self.check_confluence()
 
     # --- rewriting ----------------------------------------------------
 
@@ -184,8 +185,6 @@ class SwapTable:
                         raise NonConfluentTable(
                             f"critical pair at {self.render_word((a, b, c))}"
                         )
-
-    _check = check_confluence
 
     def _reduce_once(self, word, pos):
         """Apply the rule at ``pos`` once, then normalize each result."""

@@ -68,13 +68,23 @@ class TestExpand:
         ("weyl", "1^99999999999"),
     ])
     def test_huge_power_exit_2(self, capsys, context, text):
-        """A power that would multiply its base more than EXP_LIMIT
-        times is refused before it multiplies, in every context."""
+        """A power above EXP_LIMIT is refused before it multiplies, in
+        every context."""
         t0 = time.monotonic()
         code, out, err = run_cli(["expand", "--context", context, text],
                                  capsys)
         assert code == 2 and not out
         assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert time.monotonic() - t0 < 5
+
+    def test_power_at_limit(self, capsys):
+        """A word power at EXP_LIMIT squares and multiplies, so it ends
+        at once instead of rewriting ever longer words 32767 times."""
+        t0 = time.monotonic()
+        code, out, _ = run_cli(["expand", "--context", "gl2", "E12^32767"],
+                               capsys)
+        assert code == 0
+        assert out.strip() == "E12^32767"
         assert time.monotonic() - t0 < 5
 
     def test_deep_nesting_exit_2(self, capsys):

@@ -35,7 +35,12 @@ class TestStructureConstants:
         assert commutator(e12, e21) == e11 - e22
 
     def test_jacobi_gl3(self, gl3):
-        assert gl3.check_jacobi()
+        # the overlap test of the bracket rules is the Jacobi identity
+        gl3.check_confluence()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_doubled_gln_confluent(self, n):
+        pbw.build_doubled_gln(n).check_confluence()
 
     def test_straighten_example(self, gl2):
         e12, e21 = gl2.generator("E12"), gl2.generator("E21")
@@ -192,12 +197,21 @@ class TestLieAlgebraSpec:
         assert commutator(e, f) == h
         assert commutator(h, e) == e.scale(2)
         assert commutator(h, f) == f.scale(-2)
-        assert g.check_jacobi()
+        g.check_confluence()
 
     def test_jacobi_failure_rejected(self):
-        # [b, a] = a and [c, b] = b, with [c, a] = 0, break Jacobi
-        with pytest.raises(ValueError, match="Jacobi"):
-            pbw.LieAlgebraSpec(("a", "b", "c"), {
-                (1, 0): {0: C(1)},
-                (2, 1): {1: C(1)},
-            })
+        for basis, brackets, at in [
+            # [b, a] = a and [c, b] = b, with [c, a] = 0, break Jacobi
+            (("a", "b", "c"), {(1, 0): {0: C(1)}, (2, 1): {1: C(1)}},
+             r"c\*b\*a"),
+            # sl2 as above with [e, h] sign-flipped to +2e
+            (("f", "h", "e"), {(1, 0): {0: C(-2)}, (2, 0): {1: C(1)},
+                               (2, 1): {2: C(2)}}, r"e\*h\*f"),
+        ]:
+            with pytest.raises(swapalg.NonConfluentTable,
+                               match=f"critical pair at {at}"):
+                pbw.LieAlgebraSpec(basis, brackets)
+
+    def test_brackets_keyed_by_descent(self):
+        with pytest.raises(ValueError, match="u > v"):
+            pbw.LieAlgebraSpec(("a", "b"), {(0, 1): {0: C(1)}})

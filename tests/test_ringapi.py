@@ -158,5 +158,7 @@ def _power_cases():
 def test_power_exponents(x, one):
     assert x ** 0 == one
     assert x ** 2 == x * x
+    assert x ** 5 == x * x * x * x * x
+    assert x ** 6 == x * x * x * x * x * x
     with pytest.raises(ValueError):
         x ** -1
