@@ -221,6 +221,16 @@ def run_suite(selection, config, workers=1, fail_fast=False,
 
 
 def main(argv=None):
+    try:  # `... | head` ends quietly, per SIGPIPE in the Python signal docs
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # devnull takes stdout's place for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv):
     parser = argparse.ArgumentParser(
         prog="nc-capelli",
         description="Exact verification of noncommutative determinant identities.",

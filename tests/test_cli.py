@@ -1,10 +1,14 @@
 """CLI: suite running, exit codes, JSON reports, expression expansion."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import nc_capelli
 from nc_capelli import cli, identities
 
 
@@ -86,6 +90,38 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "E12^32767"
         assert time.monotonic() - t0 < 5
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("context, text, head", [
+        ("swap", "psi^32767", b"psi*" * 5),
+        ("weyl", "x", None),
+    ], ids=["closed after 20 bytes", "closed before the start"])
+    def test_reader_closing_early_exits_quietly(self, unbuffered, context,
+                                                text, head):
+        """``expand ... | head -c 20``: the command exits 1 with nothing
+        on stderr (no BrokenPipeError), with standard output buffered
+        (the default on a pipe) or not.  The 131 kB rendering of
+        psi^32767 fills the pipe before the reader stops; the one line of
+        ``x`` meets a pipe that no one reads, so a buffered run fails
+        only when it flushes."""
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.path.dirname(
+                       os.path.dirname(nc_capelli.__file__)))
+        read_end, write_end = os.pipe()
+        if head is None:
+            os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nc_capelli.cli", "expand", "--context",
+             context, text],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        if head is not None:
+            with open(read_end, "rb") as reader:
+                assert reader.read(len(head)) == head
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=30) == 1
+        assert err == b""
 
     def test_deep_nesting_exit_2(self, capsys):
         text = "(" * 300 + "x" + ")" * 300

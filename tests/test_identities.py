@@ -1,6 +1,7 @@
 """Verifier suite: condition checkers, instance catalog, registry."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import pbw, weyl
 from nc_capelli.identities import VerificationReport
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import Coefficient, GaussianRational
 
 
 def C(value, den=None):
@@ -204,6 +205,91 @@ class TestRectangular:
         report = idn.verify_rectangular("antisym-conditional", 2, (1,), (1,))
         assert report.conditional
         assert report.residualIsZero
+
+
+def _literal_cauchy_binet(shape, n, I, J):
+    """The rectangular RHS summed on Gaussian rationals, from a fresh
+    instance: the reference for the cached integer sum."""
+    ring, _, Z, D = idn.complex_weyl(n, shape)
+    ZR = mo.decomplexify(Z)
+    DtR = mo.decomplexify(D if shape == "antisymmetric" else mo.transpose(D))
+    dI, dJ = mo.double_index(I), mo.double_index(J)
+    return sum((mo.coldet(mo.submatrix(ZR, dI, L))
+                * mo.coldet(mo.submatrix(DtR, L, dJ))
+                for L in mo.multi_indexes(2 * n, 2 * len(I))), ring.zero)
+
+
+_RECT_CASES = [(shape, 2, I, J)
+               for shape in ("plain", "symmetric", "antisymmetric")
+               for r in (1, 2)
+               for I in mo.multi_indexes(2, r) for J in mo.multi_indexes(2, r)]
+
+
+@pytest.mark.parametrize("shape, n, I, J",
+                         _RECT_CASES + [("symmetric", 3, (1, 3), (2, 3))])
+def test_cached_cauchy_binet_matches_literal_sum(shape, n, I, J):
+    """The cached Gaussian-integer RHS equals the sum of coldet products
+    on Gaussian rationals, cold and then from a warm cache."""
+    want = _literal_cauchy_binet(shape, n, I, J)
+    assert want or shape == "antisymmetric"
+    assert idn._cauchy_binet(shape, n, I, J) == want
+    assert idn._cauchy_binet(shape, n, I, J) == want
+
+
+def test_cached_cauchy_binet_mixed_denominators(monkeypatch):
+    """With z_11 scaled by 1/2 + i/3 a minor holds values over 4, 6 and
+    9 at once: each minor is scaled by the lcm of its denominators, and
+    the cache, cold at the start of each test, holds no minor of the
+    unpatched instance."""
+    real = idn.complex_weyl
+
+    def scaled(n, kind="plain"):
+        ring, gens, Z, D = real(n, kind)
+        Z.entries[0][0] = Z.entries[0][0].scale(
+            GaussianRational(Fraction(1, 2), Fraction(1, 3)))
+        return ring, gens, Z, D
+
+    monkeypatch.setattr(idn, "complex_weyl", scaled)
+    for I, J in (((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2))):
+        want = _literal_cauchy_binet("plain", 2, I, J)
+        assert idn._cauchy_binet("plain", 2, I, J) == want
+
+
+class TestResidualReport:
+    def _report(self, lhs, rhs):
+        return idn.residual_report("t", "r", {}, lhs, rhs, 0.0)
+
+    def test_nonzero_residual_renders(self):
+        gens = weyl.GeneratorSet(["x"])
+        x = weyl.WeylElement.variable(gens, "x")
+        report = self._report(x * x + x, x)
+        assert not report.residualIsZero
+        assert report.residualRendering == "x^2"
+        report = self._report(x.scale(3), x)  # same monomials
+        assert not report.residualIsZero
+        assert report.residualRendering == "2*x"
+
+    def test_equal_sides_zero(self):
+        gens = weyl.GeneratorSet(["x"])
+        x = weyl.WeylElement.variable(gens, "x")
+        report = self._report(x + x, x.scale(2))
+        assert report.residualIsZero
+        assert report.residualRendering == ""
+
+    def test_constant_coefficient_equals_bare_value(self):
+        """A constant Coefficient left by a cancelled parameter equals the
+        bare Gaussian rational it stands for, so the sides are equal."""
+        gens = weyl.GeneratorSet(["x"])
+        (key,) = weyl.WeylElement.variable(gens, "x").terms
+        p = Coefficient.param("s")
+        const = (p + C(3)) - p
+        assert const.terms.keys() == {()}
+        lhs = weyl.WeylElement(gens, {key: const})
+        rhs = weyl.WeylElement(gens, {key: C(3).terms[()]})
+        assert lhs == rhs
+        report = self._report(lhs, rhs)
+        assert report.residualIsZero
+        assert report.residualRendering == ""
 
 
 class TestCss:

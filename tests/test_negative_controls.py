@@ -170,3 +170,17 @@ def test_perturbed_identity_fails(monkeypatch, perturbation, verify):
     assert verify().residualIsZero
     monkeypatch.setattr(module, name, replacement(getattr(module, name)))
     assert not verify().residualIsZero
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("kind", ["capelli", "turnbull"])
+def test_rect_rhs_missing_subset_fails(monkeypatch, kind, warm):
+    """The rectangular RHS with the first 2r-subset L left out of the
+    Cauchy-Binet sum is false, whether or not an unperturbed call has
+    already cached the instance and its minors."""
+    verify = lambda: idn.verify_rectangular(kind, 2, (1,), (1,))
+    if warm:
+        assert verify().residualIsZero
+    real = mo.multi_indexes
+    monkeypatch.setattr(mo, "multi_indexes", lambda n, r: real(n, r)[1:])
+    assert not verify().residualIsZero
