@@ -183,14 +183,12 @@ def _report_sort_key(d):
 
 
 def run_suite(selection, config, workers=1, fail_fast=False,
-              strict_conditional=False, out=None):
+              strict_conditional=False):
     """Run the selected verifiers (ids of identities.REGISTRY); returns
-    (exit_code, report_dicts).  With fail_fast the run stops after the
-    first id (in sorted order) with a hard failure, whatever the number
-    of workers."""
-    if out is None:
-        out = sys.stdout
-
+    (exit_code, report_dicts, lines), the lines being one progress line
+    per report and a summary for the caller to print.  With fail_fast
+    the run stops after the first id (in sorted order) with a hard
+    failure, whatever the number of workers."""
     def hard_fail(r):
         return not r["residualIsZero"] and (strict_conditional or not r["conditional"])
 
@@ -208,16 +206,16 @@ def run_suite(selection, config, workers=1, fail_fast=False,
     reports = sorted(
         (r for rs in results.values() for r in rs), key=_report_sort_key
     )
-    failed = 0
+    lines, failed = [], 0
     for r in reports:
         flag = "ok" if r["residualIsZero"] else (
             "FAIL" if hard_fail(r) else "fail(conditional)")
         failed += hard_fail(r)
         params = json.dumps(r["sizeParams"], sort_keys=True)
-        print(f"  [{flag:>4}] {r['identityName']} {params} "
-              f"({r['wallMillis']} ms)", file=out)
-    print(f"{len(reports)} reports, {failed} failures", file=out)
-    return (1 if failed else 0), reports
+        lines.append(f"  [{flag:>4}] {r['identityName']} {params} "
+                     f"({r['wallMillis']} ms)")
+    lines.append(f"{len(reports)} reports, {failed} failures")
+    return (1 if failed else 0), reports, lines
 
 
 def main(argv=None):
@@ -325,7 +323,7 @@ def _main(argv):
 
     config = {"max_n": max_n, "signs": args.signs, "extended": args.extended}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    code, reports = run_suite(
+    code, reports, lines = run_suite(
         selection, config, workers=workers, fail_fast=args.fail_fast,
         strict_conditional=args.strict_conditional,
     )
@@ -340,6 +338,8 @@ def _main(argv):
         with open(args.json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    # printed after the JSON is saved, since the reader may close early
+    print("\n".join(lines))
     return code
 
 

@@ -103,9 +103,6 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return _make(d * p, -d * q, n)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def conjugate(self):
         return _fields(self.p, -self.q, self.d)
 

@@ -449,39 +449,31 @@ def wick(p, momentum_map, target):
     return out
 
 
-def _lead(gens, terms):
-    exponents = gens.exponents
-
-    def order(mono):
-        v = exponents(mono)[0]
-        return sum(v), v
-
-    return max(terms, key=order)
-
-
 def exact_divide(p, q):
     """Exact polynomial division p / q; raises NotDivisible otherwise.
 
-    Coefficient division requires the leading coefficient of q to be a
-    Gaussian-rational constant (true for every divisor the suite uses:
-    determinant powers and Vandermonde factors); ValueError otherwise.
+    Every value of q must be a Gaussian-rational constant (true for every
+    divisor the suite uses: determinant powers and Vandermonde factors);
+    ValueError otherwise.  The leading term is the one with the largest
+    key: integer order on keys is lex order on exponents, and it respects
+    products, which add keys (the guard bits keep a field from carrying).
     Each quotient term times q is subtracted in place from the remainder
-    dict, whose leading term falls at every step, so no key repeats.
+    dict, whose largest key falls at every step, so no key repeats.
     """
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("exact_divide works on polynomials")
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    for c in q.terms.values():
+        if not c.terms.keys() <= {()}:
+            raise ValueError(f"not a constant: {c.render()}")
     gens, guard = p.gens, p.gens.guard
-    lq = _lead(gens, q.terms)
-    cq = q.terms[lq]
-    if not cq.terms.keys() <= {()}:
-        raise ValueError(f"not a constant: {cq.render()}")
-    inv = cq.terms[()].inverse()
+    lq = max(q.terms)
+    inv = q.terms[lq].terms[()].inverse()
     quotient = {}
     rem = dict(p.terms)
     while rem:
-        lr = _lead(gens, rem)
+        lr = max(rem)
         if ((lr | guard) - lq) & guard != guard:
             raise NotDivisible(f"leading term {gens.exponents(lr)} "
                                f"not divisible by {gens.exponents(lq)}")

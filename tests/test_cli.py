@@ -221,6 +221,29 @@ class TestRun:
 
         assert normalize(paths[0]) == normalize(paths[1])
 
+    def test_reader_closing_early_keeps_json(self, tmp_path):
+        """``run --json PATH | head -c 1`` with unbuffered output: the
+        JSON file is written before the first progress line, so a reader
+        that closes before it reads anything loses no report; the run
+        exits 1 with nothing on stderr."""
+        path = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.path.dirname(
+                       os.path.dirname(nc_capelli.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nc_capelli.cli", "run", "--suite",
+             "capelli.plain,capelli.turnbull", "--workers", "1",
+             "--json", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+        assert len(json.loads(path.read_text())["reports"]) == 4
+
     def test_signs_selection(self, capsys):
         code, out, _ = run_cli(
             ["run", "--suite", "factorization.local", "--signs", "plus"],
@@ -250,7 +273,8 @@ def test_bad_worker_env_exit_2(monkeypatch, capsys):
 
 def _fake_registry(monkeypatch, outcomes, calls=None):
     """Replace the registry by ids whose verifier passes ("ok"), fails
-    ("fail") or raises ("raise"); each call appends its id to ``calls``."""
+    ("fail"), fails a conditional report ("conditional") or raises
+    ("raise"); each call appends its id to ``calls``."""
     def verifier(vid, outcome):
         def run(config):
             if calls is not None:
@@ -258,7 +282,8 @@ def _fake_registry(monkeypatch, outcomes, calls=None):
             if outcome == "raise":
                 raise ValueError(f"{vid} exploded")
             return [identities.bool_report(
-                vid, "test", {"n": 1}, outcome == "ok", time.monotonic())]
+                vid, "test", {"n": 1}, outcome == "ok", time.monotonic(),
+                conditional=outcome == "conditional")]
         return run
     monkeypatch.setattr(identities, "REGISTRY", {
         vid: verifier(vid, outcome) for vid, outcome in outcomes.items()})
@@ -284,6 +309,20 @@ def test_fail_fast_same_reports_across_workers(monkeypatch, tmp_path, capsys):
         runs.append(_reports(path))
     assert runs[0] == runs[1]
     assert [r["identityName"] for r in runs[0]] == ["a", "b"]
+
+
+@pytest.mark.parametrize("argv, code, flag", [
+    ([], 0, "fail(conditional)"),
+    (["--strict-conditional"], 1, "FAIL"),
+])
+def test_strict_conditional(monkeypatch, capsys, argv, code, flag):
+    """A failing conditional report fails the run only under
+    --strict-conditional."""
+    _fake_registry(monkeypatch, {"a": "conditional"})
+    got, out, _ = run_cli(["run", *argv], capsys)
+    assert got == code
+    assert f"[{flag}] a " in out
+    assert f"1 reports, {code} failures" in out
 
 
 def test_raising_verifier_is_a_failing_report(monkeypatch, tmp_path, capsys):

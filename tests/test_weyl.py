@@ -166,6 +166,22 @@ class TestExactDivide:
         with pytest.raises(ValueError, match="not a constant: d1"):
             weyl.exact_divide(x * q, q)
 
+    def test_degree_lead_differs_from_key_lead(self, xy):
+        """x^3 leads q by degree and y by packed key; the quotient is
+        unique, so the order does not change it."""
+        x, y = var(xy, "x"), var(xy, "y")
+        q = x ** 3 + y
+        f = x * x - y + WeylElement.one(xy)
+        assert weyl.exact_divide(f * q, q) == f
+
+    def test_parametric_value_off_the_degree_lead(self, xy):
+        """Every value of the divisor must be constant, whatever term
+        leads: x + d1*y used to divide when x led by degree."""
+        x, y = var(xy, "x"), var(xy, "y")
+        q = x + y.scale(Coefficient.param("d1"))
+        with pytest.raises(ValueError, match="not a constant: d1"):
+            weyl.exact_divide(x * q, q)
+
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
