@@ -246,7 +246,7 @@ def _main(argv):
     runp.add_argument("--extended", action="store_true")
     runp.add_argument("--strict-conditional", action="store_true")
     runp.add_argument("--fail-fast", action="store_true")
-    runp.add_argument("--workers", type=int, default=None)
+    runp.add_argument("--workers", type=int, default=1)
     runp.add_argument("--list", action="store_true",
                       help="list verifier ids and exit")
 
@@ -300,16 +300,7 @@ def _main(argv):
     if max_n < 1 or max_n > 3:
         print("error: --max-n must be between 1 and 3", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("NC_CAPELLI_WORKERS")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            print(f"error: NC_CAPELLI_WORKERS must be an integer, got {env!r}",
-                  file=sys.stderr)
-            return 2
-    if workers < 1:
+    if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
 
@@ -324,7 +315,7 @@ def _main(argv):
     config = {"max_n": max_n, "signs": args.signs, "extended": args.extended}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     code, reports, lines = run_suite(
-        selection, config, workers=workers, fail_fast=args.fail_fast,
+        selection, config, workers=args.workers, fail_fast=args.fail_fast,
         strict_conditional=args.strict_conditional,
     )
 

@@ -40,7 +40,7 @@ class GaussianRational:
     and ``hash`` compare the fields.  ``GaussianRational(re, im)`` takes
     an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
     ``im`` read the parts back as ``Fraction``s.  Zero is false, and
-    ``*`` also takes an int factor.
+    ``*`` also takes an int factor, on either side.
     It also reads as the constant Coefficient it equals (``terms``,
     ``bar``, ``render``), so a parameter-free value can be stored bare.
     """
@@ -95,6 +95,8 @@ class GaussianRational:
         if not e:
             return _make(a * c, b * c, d)
         return _make(a * c - b * e, a * e + b * c, d)
+
+    __rmul__ = __mul__
 
     def inverse(self):
         p, q, d = self.p, self.q, self.d

@@ -13,8 +13,8 @@ fields of B = FIELD_BITS bits (packed exponent vectors, as in
 Monagan–Pearce): over n generators the exponent of x_g sits in field g
 and that of d_g in field g + n, so the x fields come first, from the
 low bits.  Two monomials whose derivatives meet none of the other's
-variables multiply by adding their keys; each Leibniz reduction of k at
-generator g subtracts k*(1 << B*g) + k*(1 << B*(g+n)).  The top bit of
+variables multiply by adding their keys; each Leibniz step at generator
+g (one at a time) subtracts (1 << B*g) + (1 << B*(g+n)).  The top bit of
 every field is a guard: an exponent above EXP_LIMIT = 2**(B-1) - 1
 raises OverflowError, from a key, a product, ``apply`` or ``**``, and
 never wraps into the next field.  The guard bits also test
@@ -24,8 +24,7 @@ when ((b | guard) - a) & guard == guard, since no field then borrows.
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, perm
+from math import perm
 
 from .ringapi import Ring
 from .scalars import C_HALF, C_I, G_ONE, SparseElement, _make
@@ -198,7 +197,7 @@ class WeylElement(SparseElement):
         differentiated once per derivative part d^u of self (a term of p
         with fewer x_g than d^u has d_g is skipped before any value
         multiplies), and the x^v values of that part times the derivative
-        go through _mul_kernel, which takes its direct branch."""
+        go through _mul_kernel, with no derivative on the left."""
         self._require_same(p)
         if not p.is_polynomial():
             raise ValueError("apply target must be a polynomial")
@@ -244,73 +243,49 @@ class WeylElement(SparseElement):
         return "*".join(factors)
 
 
-def _reorder(dsup, k2, dshift):
-    """Expand d^u * x^v into normal order, for the nonzero d fields
-    ``dsup`` of the left key and the right key k2.
-
-    Yields (offset, integer factor) pairs such that
-    d^u x^v = sum_k factor * x^(v-k) d^(u-k), where the key of
-    x^(v-k) d^(u-k) is that of x^v d^u less offset; per-generator Leibniz:
-    d^a x^b = sum_k k! C(a,k) C(b,k) x^(b-k) d^(a-k).
-    """
-    choices = []
-    for shift, a in dsup:
-        b = (k2 >> shift) & FIELD_MASK
-        if b:
-            step = (1 << shift) | (1 << (shift + dshift))
-            choices.append([(k * step, comb(a, k) * perm(b, k))
-                            for k in range(min(a, b) + 1)])
-    for picks in product(*choices):
-        offset, factor = 0, 1
-        for d, f in picks:
-            offset += d
-            factor *= f
-        yield offset, factor
-
-
 def _mul_kernel(gens, left, right, out, negate=False):
     """Add the normal-ordered product of two {key: value} dicts into the
     dict ``out``, negated if ``negate``; returns out.
 
     Values need only ``+``, unary ``-``, ``*`` (with each other and with
-    an int Leibniz factor) and truth (zero is false): bare or parametric
+    an int on either side) and truth (zero is false): bare or parametric
     Gaussian values, or the plain ints of ``GaussIntWeyl``.  They lie in
     a domain, so a product of two is never zero and only sums are
-    pruned.  A left term whose derivative part is empty or a single
-    first-order d_g takes a direct two-branch Leibniz step; any other
-    goes through _reorder.  Callers: ``WeylElement.__mul__``,
-    ``mul_into`` and ``apply_into``, ``exact_divide`` and
-    ``GaussIntWeyl.mul_into``.
+    pruned.  The Leibniz rule is written once, as a two-branch step for
+    a left term whose derivative part is empty or one first-order d_g:
+    x^v d_g x^w = x^(v+w) d_g + w_g x^(v+w-e_g).  A left term x^v d^u of
+    higher order keeps one d_g of its highest field for that step and
+    first applies the others to the right dict, one d_g at a time, in a
+    loop (x^v d^u R = x^v d_g (d^(u-e_g) R)), each a call of
+    this kernel with the first-order key d_g and the int value 1 into a
+    fresh dict, so the kernel never nests deeper than one call.  A
+    field whose x_g occurs in no term of the running dict stays in the
+    left key: there the d_g are a plain key add.  Callers:
+    ``WeylElement.__mul__``, ``mul_into`` and ``apply_into``,
+    ``exact_divide`` and ``GaussIntWeyl.mul_into``.
     """
     dshift, guard = gens.dshift, gens.guard
-    ritems = right.items()
     get = out.get
     for k1, c1 in left.items():
         if negate:
             c1 = -c1
-        dsup = _fields(k1 >> dshift)
-        if len(dsup) > 1 or dsup and dsup[0][1] > 1:
-            for k2, c2 in ritems:
-                key = k1 + k2
-                if key & guard:
-                    _overflow()
-                c = c1 * c2
-                for offset, factor in _reorder(dsup, k2, dshift):
-                    t = c if factor == 1 else c * factor
-                    k = key - offset
-                    cur = get(k)
-                    if cur is None:
-                        out[k] = t
-                    else:
-                        t = cur + t
-                        if t:
-                            out[k] = t
-                        else:
-                            del out[k]
-            continue
-        xshift = dsup[0][0] if dsup else -1
-        step = (1 << xshift) | (1 << (xshift + dshift)) if dsup else 0
-        for k2, c2 in ritems:
+        u = k1 >> dshift
+        terms = right
+        xshift = -1
+        while u:
+            xshift = (u & -u).bit_length() - 1
+            xshift -= xshift % FIELD_BITS
+            step = (1 << xshift) | (1 << (xshift + dshift))
+            a = (u >> xshift) & FIELD_MASK
+            u -= a << xshift
+            if not u:
+                a -= 1
+            if a and any((k >> xshift) & FIELD_MASK for k in terms):
+                unit = {1 << (xshift + dshift): 1}
+                for _ in range(a):
+                    terms = _mul_kernel(gens, unit, terms, {})
+                k1 -= a << (xshift + dshift)
+        for k2, c2 in terms.items():
             key = k1 + k2
             if key & guard:
                 _overflow()

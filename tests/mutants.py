@@ -78,6 +78,26 @@ MUTANTS = [
         "return _mul_kernel(self.gens, self.terms, other.terms, out)",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
     Mutant(
+        "the peeled d_g is not taken off the left key",
+        "nc_capelli/weyl.py",
+        """\
+                k1 -= a << (xshift + dshift)
+""",
+        "",
+        ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+    Mutant(
+        "each peeled d_g is applied negated",
+        "nc_capelli/weyl.py",
+        "_mul_kernel(gens, unit, terms, {})",
+        "_mul_kernel(gens, unit, terms, {}, True)",
+        ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+    Mutant(
+        "a field is peeled only where it meets no x_g",
+        "nc_capelli/weyl.py",
+        "if a and any(",
+        "if a and not any(",
+        ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+    Mutant(
         "im*im added to the real part instead of subtracted",
         "nc_capelli/weyl.py",
         "_mul_kernel(gens, im, oim, out_re, not negate)",

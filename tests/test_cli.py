@@ -30,10 +30,12 @@ class TestExpand:
         ("delta * elta", "delta*elta"),
         ("elta * delta", "delta*elta"),
         ("delta * x", "delta*x"),
+        ("dx^1500*x^2", "x^2*dx^1500 + 3000*x*dx^1499 + 2248500*dx^1498"),
     ])
     def test_weyl_derivative_names(self, capsys, text, expanded):
         """dX is a derivative only for a variable X of the expression
-        named by a letter and an optional index; delta is a variable."""
+        named by a letter and an optional index; delta is a variable.
+        A left derivative order may exceed the recursion limit."""
         code, out, _ = run_cli(["expand", "--context", "weyl", text], capsys)
         assert code == 0
         assert out.strip() == expanded
@@ -264,11 +266,11 @@ class TestReportRoundTrip:
             assert report.to_dict() == raw
 
 
-def test_bad_worker_env_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("NC_CAPELLI_WORKERS", "abc")
-    code, _, err = run_cli(["run", "--suite", "capelli.plain"], capsys)
+def test_workers_below_one_exit_2(capsys):
+    code, _, err = run_cli(["run", "--suite", "capelli.plain",
+                            "--workers", "0"], capsys)
     assert code == 2
-    assert "NC_CAPELLI_WORKERS" in err
+    assert "--workers must be >= 1" in err
 
 
 def _fake_registry(monkeypatch, outcomes, calls=None):

@@ -247,6 +247,18 @@ class TestBareAndWrapped:
         assert g.terms == w.terms
         assert g.bar() == w.bar()
 
+    @given(gaussians(), coefficients())
+    @settings(max_examples=60, deadline=None)
+    def test_int_factor_on_either_side(self, g, c):
+        """The Weyl kernel multiplies values by the int 1 from the left."""
+        assert 3 * g == g * 3 == g + g + g
+        one = 1 * g
+        assert type(one) is GaussianRational and one == g
+        for got in (3 * c, c * 3):
+            assert type(got) is Coefficient and got == c + c + c
+        assert 1 * c == c == c * 1
+        assert not 0 * c and not c * 0
+
     def test_cancelled_parameter_leaves_equal_constant(self):
         s = Coefficient.param("s")
         left = (s + C(3, 2) + I) - s

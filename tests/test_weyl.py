@@ -46,6 +46,21 @@ class TestNormalOrdering:
         x, dx = var(xy, "x"), der(xy, "x")
         assert (dx * x * x).render() == "x^2*dx + 2*x"
 
+    def test_left_derivative_order_past_the_recursion_limit(self, xy):
+        """The kernel applies a high-order left d-part one d_g at a time
+        in a loop; a field meeting no x_g is a key add."""
+        x, y, dx, dy = var(xy, "x"), var(xy, "y"), der(xy, "x"), der(xy, "y")
+        assert (dx ** 2000).render() == "dx^2000"
+        a, b = 1500, 1200
+        assert dx ** a * x ** 2 == (x ** 2 * dx ** a
+                                    + (x * dx ** (a - 1)).scale(2 * a)
+                                    + (dx ** (a - 2)).scale(a * (a - 1)))
+        assert dx ** a * dy ** b * x * y == (
+            x * y * dx ** a * dy ** b
+            + (x * dx ** a * dy ** (b - 1)).scale(b)
+            + (y * dx ** (a - 1) * dy ** b).scale(a)
+            + (dx ** (a - 1) * dy ** (b - 1)).scale(a * b))
+
 
 class TestValueForms:
     """Weyl values are bare GaussianRationals unless a parameter occurs;
@@ -256,12 +271,13 @@ _BIG = st.integers(0, 3) | st.integers(EXP_LIMIT - 6, EXP_LIMIT - 3)
 
 
 @st.composite
-def _tuple_terms(draw, n, vexp=_SMALL, uexp=_SMALL, polynomial=False):
+def _tuple_terms(draw, n, vexp=_SMALL, uexp=_SMALL, polynomial=False,
+                 values=st.sampled_from(_VALUES)):
     out = {}
     for _ in range(draw(st.integers(0, 3))):
         v = tuple(draw(vexp) for _ in range(n))
         u = (0,) * n if polynomial else tuple(draw(uexp) for _ in range(n))
-        out[v, u] = draw(st.sampled_from(_VALUES))
+        out[v, u] = draw(values)
     return out
 
 
@@ -276,20 +292,31 @@ def _unpacked(w):
 _NAMES = ["x", "y", "z"]
 
 
-@given(st.data(), st.integers(1, 3))
-@settings(max_examples=150, deadline=None)
-def test_packed_product_matches_reference(data, n):
+@given(st.data(), st.integers(1, 3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_packed_product_matches_reference(data, n, ints):
     """Left x and right d exponents reach the field limit: they never
-    meet in a Leibniz step, so the reference stays cheap."""
+    meet in a Leibniz step, so the reference stays cheap.  Left d
+    exponents go up to 3 in every generator.  With ``ints`` the values
+    are plain ints, as ``GaussIntWeyl`` feeds the kernel, and the
+    results are compared as Gaussian rationals."""
     gens = GeneratorSet(_NAMES[:n])
-    left = data.draw(_tuple_terms(n, vexp=_BIG))
-    right = data.draw(_tuple_terms(n, uexp=_BIG))
-    got = _packed(gens, left) * _packed(gens, right)
+    values = (st.sampled_from((1, -1, 2, -3)) if ints
+              else st.sampled_from(_VALUES))
+    left = data.draw(_tuple_terms(n, vexp=_BIG, values=values))
+    right = data.draw(_tuple_terms(n, uexp=_BIG, values=values))
+
+    def element(terms):
+        return WeylElement(gens, {k: GaussianRational(c) if ints else c
+                                  for k, c in terms.items()})
+
+    a, b = _packed(gens, left), _packed(gens, right)
+    got = element((a * b).terms)
     assert _unpacked(got) == _ref_mul(left, right)
     assert got == _packed(gens, _ref_mul(left, right))
-    into = {0: G_ONE}
-    _packed(gens, left).mul_into(_packed(gens, right), into, negate=True)
-    assert WeylElement(gens, into) == WeylElement.one(gens) - got
+    into = {0: 1 if ints else G_ONE}
+    a.mul_into(b, into, negate=True)
+    assert element(into) == WeylElement.one(gens) - got
 
 
 @given(st.data(), st.integers(1, 3), st.booleans())
