@@ -20,12 +20,11 @@ from .scalars import Coefficient
 
 
 def _constant_of(w):
-    """The value of a constant Weyl element; ValueError otherwise."""
-    if w.is_zero():
-        return Coefficient.zero()
-    if w.terms.keys() != {0}:
+    """The value of a constant Weyl element, as a Coefficient; ValueError
+    otherwise."""
+    if w.terms.keys() - {0}:
         raise ValueError(f"not a constant: {w.render()}")
-    return w.terms[0]
+    return Coefficient({(): w.terms[0]} if w.terms else {})
 
 
 def interpolate(points):
@@ -254,31 +253,28 @@ def _sweep_report(name, n, s_values, compute, expected_poly, t0, table_kind):
     )
 
 
-def verify_cayley_scalar(n, s_values=None):
+def verify_cayley_scalar(n):
     t0 = time.monotonic()
-    s_values = s_values or list(range(1, n + 2))
     return _sweep_report(
-        "cayley.scalar", n, s_values, lambda s: cayley_scalar(n, s),
+        "cayley.scalar", n, range(1, n + 2), lambda s: cayley_scalar(n, s),
         b_polynomial(n), t0, "classical",
     )
 
 
-def verify_cayley_decomplexified(n, s_values=None):
+def verify_cayley_decomplexified(n):
     t0 = time.monotonic()
-    s_values = s_values or list(range(1, 2 * n + 2))
     b = b_polynomial(n)
     return _sweep_report(
-        "cayley.decomplexified", n, s_values,
+        "cayley.decomplexified", n, range(1, 2 * n + 2),
         lambda s: cayley_decomplexified(n, s), b * b, t0, "decomplexified",
     )
 
 
-def verify_cayley_quaternion(kind, n, s_values=None):
+def verify_cayley_quaternion(kind, n):
     t0 = time.monotonic()
     degree = 2 * n if kind == "complexForm" else 4 * n
-    s_values = s_values or list(range(1, degree + 2))
     return _sweep_report(
-        f"cayley.quaternion.{kind}", n, s_values,
+        f"cayley.quaternion.{kind}", n, range(1, degree + 2),
         lambda s: cayley_quaternion(kind, n, s),
         quaternion_expected(kind, n), t0, kind,
     )

@@ -14,7 +14,6 @@ import re
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, identities, pbw, swapalg, weyl
 from .scalars import Coefficient
@@ -194,7 +193,10 @@ def run_suite(selection, config, workers=1, fail_fast=False,
 
     jobs = [(vid, config) for vid in sorted(selection)]
     results = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # multiprocessing costs every import; load it only here
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for vid, reports in (pool.map if pool else map)(_run_one, jobs):
             results[vid] = reports

@@ -16,7 +16,6 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
 from typing import Callable
 
 from . import matrixops as mo
@@ -40,10 +39,6 @@ class VerificationReport:
 
     def to_dict(self):
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return VerificationReport(**d)
 
 
 def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
@@ -442,14 +437,14 @@ def _rect_instance(shape, n):
 
 def _cauchy_binet(shape, n, I, J):
     """Sum over 2r-subsets L of coldet(Z^R_{dI,L}) coldet((D^t)^R_{L,dJ}): minors
-    cached as (GaussIntWeyl, lcm of denominators), products summed per da*db."""
+    cached as mo.gauss_int_coldet's (GaussIntWeyl, den), products summed per
+    da*db."""
     ring, _, ZR, DtR, minors = _rect_instance(shape, n)
 
     def minor(M, rows, cols):  # M, ZR or DtR, lives as long as minors
         if (M, rows, cols) not in minors:
-            det = mo.coldet(mo.submatrix(M, rows, cols))
-            den = lcm(*(c.d for c in det.terms.values()))
-            minors[M, rows, cols] = weyl.GaussIntWeyl.from_weyl(det, den), den
+            minors[M, rows, cols] = mo.gauss_int_coldet(
+                mo.submatrix(M, rows, cols))
         return minors[M, rows, cols]
 
     dI, dJ = mo.double_index(I), mo.double_index(J)
@@ -496,8 +491,8 @@ MainTheoremInstance = namedtuple("MainTheoremInstance", "name ring C Q")
 
 
 def main_theorem_instances(n):
-    if n == 1:
-        gens = weyl.GeneratorSet(["x11", "y11"])
+    if n == 1:  # the shift d1 is a central generator of the host
+        gens = weyl.GeneratorSet(["x11", "y11", "d1"])
         ring = weyl.weyl_ring(gens)
         z, dz = weyl.complex_pair(gens, "11")
         return [
@@ -810,7 +805,7 @@ def _random_matrix(ring, entry, size):
     return mo.matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
 
 
-def verify_oracle_coldet(count=200):
+def verify_oracle_coldet():
     """coldet (Laplace) vs the reference coldet_permutations on random
     matrices over all engines: scalar, Weyl, PBW and swap."""
     t0 = time.monotonic()
@@ -820,10 +815,10 @@ def verify_oracle_coldet(count=200):
         M = _random_matrix(*engines[k % 4], 2 + k % 2)
         return (mo.coldet(M) - mo.coldet_permutations(M)).is_zero()
 
-    return _oracle_report("oracle.coldet", "mixed", count, trial, t0)
+    return _oracle_report("oracle.coldet", "mixed", 200, trial, t0)
 
 
-def verify_oracle_topform(count=100):
+def verify_oracle_topform():
     """Grassmann top-form lemma: prod_k psi^M_k = coldet(M) psi_top for
     random Weyl-entry matrices of size up to 3."""
     t0 = time.monotonic()
@@ -843,10 +838,10 @@ def verify_oracle_topform(count=100):
             swapalg.ExteriorElement(alg, {alg.top_mask(): det})
         return (prod - want).is_zero()
 
-    return _oracle_report("oracle.topform", ring.name, count, trial, t0)
+    return _oracle_report("oracle.topform", ring.name, 100, trial, t0)
 
 
-def verify_oracle_decomplexify(count=100):
+def verify_oracle_decomplexify():
     """Decomplexification is a homomorphism: Id^R = Id, and
     (M N)^R = M^R N^R and (M + N)^R = M^R + N^R on random complex-entry
     Weyl matrices."""
@@ -860,7 +855,7 @@ def verify_oracle_decomplexify(count=100):
         return all(e.is_zero() for row in P.entries for e in row)
 
     if not is_zero(R(mo.identity(ring, 2)) - mo.identity(ring, 4)):
-        return bool_report("oracle.decomplexify", ring.name, {"count": count},
+        return bool_report("oracle.decomplexify", ring.name, {"count": 100},
                            False, t0, detail="Id^R != Id")
 
     def trial(k):
@@ -869,7 +864,7 @@ def verify_oracle_decomplexify(count=100):
         return (is_zero(R(mo.matmul(M, N)) - mo.matmul(R(M), R(N)))
                 and is_zero(R(M + N) - (R(M) + R(N))))
 
-    return _oracle_report("oracle.decomplexify", ring.name, count, trial, t0)
+    return _oracle_report("oracle.decomplexify", ring.name, 100, trial, t0)
 
 
 # ---------------------------------------------------------------------------

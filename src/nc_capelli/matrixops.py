@@ -13,7 +13,7 @@ from math import lcm, prod
 from operator import add, sub
 
 from .ringapi import im_part, re_part
-from .scalars import C_I_QUARTER, C_QUARTER, Coefficient, GaussianRational
+from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
 from .weyl import GaussIntWeyl, WeylElement
 
 
@@ -89,24 +89,27 @@ def matmul(A, B):
 def coldet(M):
     """Column determinant: sum over permutations sigma of
     sgn(sigma) * M[sigma(1),1] * M[sigma(2),2] * ... with the products
-    taken column by column, left to right (see _laplace).
-
-    A Weyl matrix whose values are all bare Gaussian rationals expands
-    on Python ints: column j is scaled by the lcm D_j of its values'
-    denominators into GaussIntWeyl form, and the determinant of the
-    scaled matrix is divided by the product of the D_j at the end."""
+    taken column by column, left to right (see _laplace).  A Weyl matrix
+    expands on Python ints (gauss_int_coldet)."""
     one = M.ring.one
-    if not (isinstance(one, WeylElement) and all(
-            type(c) is GaussianRational
-            for row in M.entries for e in row for c in e.terms.values())):
+    if not isinstance(one, WeylElement):
         return _laplace(M, one, type(one).mul_into)
+    det, den = gauss_int_coldet(M)
+    return det.to_weyl(den)
+
+
+def gauss_int_coldet(M):
+    """(G, den), G a GaussIntWeyl, with coldet(M) = G / den for a Weyl
+    matrix M: column j is scaled by the lcm D_j of its values'
+    denominators into GaussIntWeyl form, and den is the product of the
+    D_j (see _laplace)."""
     scales = [lcm(*(c.d for row in M.entries for c in row[j].terms.values()))
               for j in range(M.cols)]
     scaled = RingMatrix(M.ring, [
         [GaussIntWeyl.from_weyl(e, D) for e, D in zip(row, scales)]
         for row in M.entries])
-    unit = GaussIntWeyl(one.gens, {0: 1}, {})
-    return _laplace(scaled, unit, GaussIntWeyl.mul_into).to_weyl(prod(scales))
+    unit = GaussIntWeyl(M.ring.one.gens, {0: 1}, {})
+    return _laplace(scaled, unit, GaussIntWeyl.mul_into), prod(scales)
 
 
 # perfbench/spans.py traces this name; it is coldet itself.
@@ -163,10 +166,10 @@ def _laplace(M, leaf, act):
     no copy of the sum sit beside it (this bounds peak memory).  Other
     rings add each entry's product (see ``SparseElement.mul_into``).
 
-    Column scaling (``coldet``'s Gaussian-integer path): the column
-    determinant is linear in each column, since every term takes exactly
-    one entry from each column, and a scalar D_j is central, so it moves
-    out of any product.  So coldet(M with column j times D_j) =
+    Column scaling (``gauss_int_coldet``): the column determinant is
+    linear in each column, since every term takes exactly one entry from
+    each column, and a scalar D_j is central, so it moves out of any
+    product.  So coldet(M with column j times D_j) =
     D_j coldet(M), and with every column j scaled by the lcm D_j of its
     denominators, coldet(M) is the scaled determinant, computed exactly
     in Z[i], divided by the product of the D_j.

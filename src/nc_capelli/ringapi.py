@@ -4,10 +4,10 @@ Every engine (scalars, weyl, pbw, swapalg) exposes elements that are
 immutable values supporting ``+``, ``-``, unary ``-``, ``*``,
 ``is_zero()`` and ``scale(c)`` (c a ``Coefficient``, ``GaussianRational``
 or rational); engines with a conjugation additionally expose ``bar()``.
-Weyl terms hold bare ``GaussianRational`` values unless a parameter
-occurs, PBW and swap terms ``Coefficient``s.  A :class:`Ring` bundles the
-distinguished elements that generic code (matrices, verifiers) needs,
-so matrix algorithms stay agnostic of the host.
+Weyl terms hold ``GaussianRational`` values (a parameter is a Weyl
+generator), PBW and swap terms ``Coefficient``s.  A :class:`Ring`
+bundles the distinguished elements that generic code (matrices,
+verifiers) needs, so matrix algorithms stay agnostic of the host.
 
 The element classes, ``Coefficient`` included, are sparse sums built on
 ``scalars.SparseElement``; its docstring lists what a subclass supplies.

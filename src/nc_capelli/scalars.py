@@ -8,7 +8,10 @@ A Gaussian rational is three Python ints in lowest terms, so its
 arithmetic is integer arithmetic with one ``gcd`` per result at most;
 ``fractions.Fraction`` appears only at the edges (input, ``re``/``im``,
 rendering).  The "bar" involution conjugates ``i`` and fixes every
-parameter (the parameters model real central scalars).
+parameter (the parameters model real central scalars).  A
+``Coefficient`` takes a bare Gaussian rational as a factor, and no other
+operation mixes the two types; in a Weyl host a parameter is a
+generator (see ``weyl``).
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ class GaussianRational:
     an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
     ``im`` read the parts back as ``Fraction``s.  Zero is false, and
     ``*`` also takes an int factor, on either side.
-    It also reads as the constant Coefficient it equals (``terms``,
-    ``bar``, ``render``), so a parameter-free value can be stored bare.
     """
 
     __slots__ = ("p", "q", "d")
@@ -62,7 +63,6 @@ class GaussianRational:
     def im(self):
         return Fraction(self.q, self.d)
 
-    # For a Coefficient operand, NotImplemented runs its reflected op.
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -109,11 +109,6 @@ class GaussianRational:
         return _fields(self.p, -self.q, self.d)
 
     bar = conjugate
-
-    @property
-    def terms(self):
-        """The one-term ``Coefficient`` view: ``{(): self}``, empty for 0."""
-        return {(): self} if self.p or self.q else {}
 
     def is_zero(self):
         return not self.p and not self.q
@@ -197,12 +192,11 @@ class SparseElement:
     ``-``, ``scale``, ``**``, ``is_zero`` (and truth: zero is false),
     ``render`` and ``__repr__``.
 
-    ``Coefficient`` (values ``GaussianRational``), the engine classes
-    ``WeylElement`` (bare ``GaussianRational`` values where no parameter
-    occurs, ``Coefficient`` ones where one does), ``SwapElement`` with its
-    PBW subclass ``PbwElement`` (values ``Coefficient``), and
-    ``ExteriorElement`` (values elements of its host ring) build on it.
-    ``scale`` keeps a bare value bare.  A subclass must supply:
+    ``Coefficient`` and ``WeylElement`` (values ``GaussianRational``),
+    ``SwapElement`` with its PBW subclass ``PbwElement`` (values
+    ``Coefficient``), and ``ExteriorElement`` (values elements of its
+    host ring) build on it.  ``scale`` keeps a bare value bare.  A
+    subclass must supply:
 
     - ``_new(terms)``: a sibling over the same generators, basis, table
       or algebra, holding ``terms`` (which it takes ownership of);
@@ -385,10 +379,9 @@ class Coefficient(SparseElement):
 
     # --- ring operations ---------------------------------------------
 
-    # ``other`` may be a GaussianRational, read through its ``terms`` view,
-    # or an int factor (such as a Leibniz one).
     def __mul__(self, other):
-        if type(other) is int:
+        """``other`` is a Coefficient or a bare GaussianRational factor."""
+        if isinstance(other, GaussianRational):
             return Coefficient({m: g * other for m, g in self.terms.items()}
                                if other else {})
         st, ot = self.terms, other.terms
@@ -406,12 +399,6 @@ class Coefficient(SparseElement):
             for m2, g2 in ot.items()
         )))
 
-    __rmul__ = __mul__
-    __radd__ = SparseElement.__add__
-
-    def __rsub__(self, other):
-        return -self + other
-
     def scale(self, c):
         """A Coefficient is its own coefficient ring: scaling multiplies."""
         return self * _scalar(c)
@@ -421,14 +408,10 @@ class Coefficient(SparseElement):
         return Coefficient({m: g.conjugate() for m, g in self.terms.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, (Coefficient, GaussianRational))
-                and self.terms == other.terms)
+        return isinstance(other, Coefficient) and self.terms == other.terms
 
     def __hash__(self):
-        t = self.terms
-        if t.keys() <= {()}:  # a constant hashes as the bare value it equals
-            return hash(t.get((), G_ZERO))
-        return hash(frozenset(t.items()))
+        return hash(frozenset(self.terms.items()))
 
     # --- queries ------------------------------------------------------
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 from math import perm
 
 from .ringapi import Ring
-from .scalars import C_HALF, C_I, G_ONE, SparseElement, _make
+from .scalars import (C_HALF, C_I, G_ONE, GaussianRational, SparseElement,
+                      _make, _scalar)
 
 # Chosen by measurement: the rect n = 3 column determinants ran as fast
 # with 16-bit fields as with 8-bit ones, so the wider field is kept
@@ -102,10 +103,10 @@ class GeneratorSet:
 
 
 class WeylElement(SparseElement):
-    """Sparse normal-ordered sum: dict packed key -> value, a bare
-    GaussianRational where no parameter occurs and a Coefficient where
-    one does (a constant Coefficient left by a cancelled parameter equals
-    and hashes as its bare value, so ``==`` never depends on the form)."""
+    """Sparse normal-ordered sum: dict packed key -> nonzero
+    GaussianRational value.  A central parameter is one more generator of
+    the same name: no derivative of it ever occurs, so it commutes with
+    everything, and ``bar``, which acts on values, fixes it."""
 
     __slots__ = ("gens", "terms")
 
@@ -167,11 +168,23 @@ class WeylElement(SparseElement):
         return WeylElement(
             self.gens, _mul_kernel(self.gens, self.terms, other.terms, {}))
 
-    def mul_into(self, other, out, negate=False):
-        """Add each term of self*other, negated if ``negate``, straight
-        into the dict ``out``; returns out."""
-        self._require_same(other)
-        return _mul_kernel(self.gens, self.terms, other.terms, out, negate)
+    def scale(self, c):
+        """self times the scalar c.  A parameter of c multiplies as the
+        generator of that name, from the left, and ValueError is raised
+        where there is none."""
+        c = _scalar(c)
+        if isinstance(c, GaussianRational):
+            return SparseElement.scale(self, c)
+        gens, terms = self.gens, {}
+        for mono, g in c.terms.items():
+            v = [0] * gens.n
+            for name, e in mono:
+                if name not in gens.index:
+                    raise ValueError(f"parameter {name!r} is not a generator"
+                                     f" of {gens!r}")
+                v[gens.index[name]] = e
+            terms[gens.key(v, [0] * gens.n)] = g
+        return WeylElement(gens, terms) * self
 
     def __pow__(self, n):
         """Raises OverflowError before it multiplies when the power of a
@@ -248,10 +261,10 @@ def _mul_kernel(gens, left, right, out, negate=False):
     dict ``out``, negated if ``negate``; returns out.
 
     Values need only ``+``, unary ``-``, ``*`` (with each other and with
-    an int on either side) and truth (zero is false): bare or parametric
-    Gaussian values, or the plain ints of ``GaussIntWeyl``.  They lie in
-    a domain, so a product of two is never zero and only sums are
-    pruned.  The Leibniz rule is written once, as a two-branch step for
+    an int on either side) and truth (zero is false): the
+    ``GaussianRational`` values of a ``WeylElement``, or the plain ints
+    of ``GaussIntWeyl``.  They lie in a domain, so a product of two is
+    never zero and only sums are pruned.  The Leibniz rule is written once, as a two-branch step for
     a left term whose derivative part is empty or one first-order d_g:
     x^v d_g x^w = x^(v+w) d_g + w_g x^(v+w-e_g).  A left term x^v d^u of
     higher order keeps one d_g of its highest field for that step and
@@ -261,8 +274,8 @@ def _mul_kernel(gens, left, right, out, negate=False):
     fresh dict, so the kernel never nests deeper than one call.  A
     field whose x_g occurs in no term of the running dict stays in the
     left key: there the d_g are a plain key add.  Callers:
-    ``WeylElement.__mul__``, ``mul_into`` and ``apply_into``,
-    ``exact_divide`` and ``GaussIntWeyl.mul_into``.
+    ``WeylElement.__mul__`` and ``apply_into``, ``exact_divide`` and
+    ``GaussIntWeyl.mul_into``.
     """
     dshift, guard = gens.dshift, gens.guard
     get = out.get
@@ -319,11 +332,11 @@ def _mul_kernel(gens, left, right, out, negate=False):
 
 
 class GaussIntWeyl:
-    """A parameter-free Weyl element scaled into Z[i]: its real and
-    imaginary parts as two {key: int} dicts, the pair ``terms``.
+    """A Weyl element scaled into Z[i]: its real and imaginary parts as
+    two {key: int} dicts, the pair ``terms``.
 
-    ``matrixops.coldet`` expands a matrix whose values are all bare
-    Gaussian rationals in this form, so the kernel adds and multiplies
+    ``matrixops.coldet`` expands every Weyl matrix in this form
+    (``matrixops.gauss_int_coldet``), so the kernel adds and multiplies
     Python ints and builds one GaussianRational per result term at the
     end (``to_weyl``).  It has what ``matrixops._laplace`` asks of an
     entry and a minor: truth, ``_new`` and ``mul_into``.
@@ -427,24 +440,21 @@ def wick(p, momentum_map, target):
 def exact_divide(p, q):
     """Exact polynomial division p / q; raises NotDivisible otherwise.
 
-    Every value of q must be a Gaussian-rational constant (true for every
-    divisor the suite uses: determinant powers and Vandermonde factors);
-    ValueError otherwise.  The leading term is the one with the largest
-    key: integer order on keys is lex order on exponents, and it respects
-    products, which add keys (the guard bits keep a field from carrying).
-    Each quotient term times q is subtracted in place from the remainder
-    dict, whose largest key falls at every step, so no key repeats.
+    A parameter of q is a generator like any other, so the leading value
+    of q is a nonzero Gaussian rational.  The leading term is the one with
+    the largest key: integer order on keys is lex order on exponents, and
+    it respects products, which add keys (the guard bits keep a field
+    from carrying).  Each quotient term times q is subtracted in place
+    from the remainder dict, whose largest key falls at every step, so no
+    key repeats.
     """
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("exact_divide works on polynomials")
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    for c in q.terms.values():
-        if not c.terms.keys() <= {()}:
-            raise ValueError(f"not a constant: {c.render()}")
     gens, guard = p.gens, p.gens.guard
     lq = max(q.terms)
-    inv = q.terms[lq].terms[()].inverse()
+    inv = q.terms[lq].inverse()
     quotient = {}
     rem = dict(p.terms)
     while rem:

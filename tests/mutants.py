@@ -33,24 +33,6 @@ Mutant = namedtuple("Mutant", "name file old new tests timeout")
 
 MUTANTS = [
     Mutant(
-        "exact_divide checks only the leading value of the divisor",
-        "nc_capelli/weyl.py",
-        """\
-    for c in q.terms.values():
-        if not c.terms.keys() <= {()}:
-            raise ValueError(f"not a constant: {c.render()}")
-    gens, guard = p.gens, p.gens.guard
-    lq = max(q.terms)
-""",
-        """\
-    gens, guard = p.gens, p.gens.guard
-    lq = max(q.terms)
-    c = q.terms[lq]
-    if not c.terms.keys() <= {()}:
-        raise ValueError(f"not a constant: {c.render()}")
-""",
-        ["tests/test_weyl.py::TestExactDivide"], 120),
-    Mutant(
         "exact_divide adds each quotient term times q instead of subtracting",
         "nc_capelli/weyl.py",
         "_mul_kernel(gens, t, q.terms, rem, negate=True)",
@@ -72,11 +54,12 @@ MUTANTS = [
         "",
         ["tests/test_weyl.py::test_falling_factorial_action"], 120),
     Mutant(
-        "mul_into does not pass negate on",
+        "scale drops a parameter's exponent",
         "nc_capelli/weyl.py",
-        "return _mul_kernel(self.gens, self.terms, other.terms, out, negate)",
-        "return _mul_kernel(self.gens, self.terms, other.terms, out)",
-        ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+        "v[gens.index[name]] = e",
+        "v[gens.index[name]] = 1",
+        ["tests/test_weyl.py::TestValueForms::"
+         "test_parameter_scales_as_generator"], 120),
     Mutant(
         "the peeled d_g is not taken off the left key",
         "nc_capelli/weyl.py",
@@ -98,6 +81,13 @@ MUTANTS = [
         "if a and not any(",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
     Mutant(
+        "re*re not negated at odd rows in GaussIntWeyl.mul_into",
+        "nc_capelli/weyl.py",
+        "_mul_kernel(gens, re, ore, out_re, negate)",
+        "_mul_kernel(gens, re, ore, out_re)",
+        ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
+        120),
+    Mutant(
         "im*im added to the real part instead of subtracted",
         "nc_capelli/weyl.py",
         "_mul_kernel(gens, im, oim, out_re, not negate)",
@@ -105,17 +95,17 @@ MUTANTS = [
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(
-        "max for lcm in coldet's column scale",
+        "max for lcm in gauss_int_coldet's column scale",
         "nc_capelli/matrixops.py",
         "scales = [lcm(*(c.d ",
         "scales = [max(1, *(c.d ",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(
-        "a column's scale dropped from coldet's divisor",
+        "a column's scale dropped from gauss_int_coldet's divisor",
         "nc_capelli/matrixops.py",
-        ".to_weyl(prod(scales))",
-        ".to_weyl(prod(scales[1:]))",
+        "GaussIntWeyl.mul_into), prod(scales)",
+        "GaussIntWeyl.mul_into), prod(scales[1:])",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(

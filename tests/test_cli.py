@@ -262,7 +262,7 @@ class TestReportRoundTrip:
                 capsys)
         payload = json.loads(path.read_text())
         for raw in payload["reports"]:
-            report = VerificationReport.from_dict(raw)
+            report = VerificationReport(**raw)
             assert report.to_dict() == raw
 
 
@@ -362,3 +362,15 @@ def test_unwritable_json_path_exit_2_before_any_verifier(
     assert calls == []
     (line,) = err.strip().splitlines()
     assert line.startswith("error:") and str(path) in line
+
+
+def test_import_leaves_out_multiprocessing():
+    """Only a run with more than one worker loads the process pool, so
+    importing the CLI does not import multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(nc_capelli.__file__)))
+    code = ("import sys, nc_capelli.cli; "
+            "assert 'multiprocessing' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()

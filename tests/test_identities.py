@@ -19,7 +19,7 @@ def C(value, den=None):
 class TestReport:
     def test_round_trip(self):
         report = idn.verify_classical_capelli("plain", 1)
-        again = VerificationReport.from_dict(report.to_dict())
+        again = VerificationReport(**report.to_dict())
         assert again == report
 
     def test_fields(self):
@@ -277,16 +277,15 @@ class TestResidualReport:
         assert report.residualRendering == ""
 
     def test_constant_coefficient_equals_bare_value(self):
-        """A constant Coefficient left by a cancelled parameter equals the
-        bare Gaussian rational it stands for, so the sides are equal."""
-        gens = weyl.GeneratorSet(["x"])
-        (key,) = weyl.WeylElement.variable(gens, "x").terms
+        """A parameter that cancels leaves the bare Gaussian rational of
+        the constant, so the sides are equal."""
+        gens = weyl.GeneratorSet(["x", "s"])
+        x = weyl.WeylElement.variable(gens, "x")
         p = Coefficient.param("s")
-        const = (p + C(3)) - p
-        assert const.terms.keys() == {()}
-        lhs = weyl.WeylElement(gens, {key: const})
-        rhs = weyl.WeylElement(gens, {key: C(3).terms[()]})
-        assert lhs == rhs
+        lhs = x.scale(p + C(3)) - x.scale(p)
+        rhs = x.scale(3)
+        (key,) = x.terms
+        assert lhs.terms == rhs.terms == {key: GaussianRational(3)}
         report = self._report(lhs, rhs)
         assert report.residualIsZero
         assert report.residualRendering == ""
@@ -338,16 +337,36 @@ class TestRegistry:
         assert [r.sizeParams["n"] for r in reports] == [1, 2]
         assert all(r.residualIsZero for r in reports)
 
+    def test_weyl_values_are_gaussian_rationals(self, monkeypatch):
+        """No verifier at the default config builds a WeylElement with a
+        value that is not a GaussianRational: a parameter, such as the
+        shift d1 of factorization.main, enters as a generator."""
+        real = weyl.WeylElement.__init__
+        forms = set()
+
+        def init(self, gens, terms=None):
+            real(self, gens, terms)
+            forms.update(map(type, self.terms.values()))
+
+        monkeypatch.setattr(weyl.WeylElement, "__init__", init)
+        config = {"max_n": 2, "signs": "both", "extended": False}
+        for vid in sorted(idn.REGISTRY):
+            idn.REGISTRY[vid](config)
+        assert forms == {GaussianRational}
+
 
 class TestOracles:
     def test_coldet_oracle(self):
-        assert idn.verify_oracle_coldet(count=40).residualIsZero
+        report = idn.verify_oracle_coldet()
+        assert report.residualIsZero and report.sizeParams == {"count": 200}
 
     def test_topform_oracle(self):
-        assert idn.verify_oracle_topform(count=30).residualIsZero
+        report = idn.verify_oracle_topform()
+        assert report.residualIsZero and report.sizeParams == {"count": 100}
 
     def test_decomplexify_oracle(self):
-        assert idn.verify_oracle_decomplexify(count=30).residualIsZero
+        report = idn.verify_oracle_decomplexify()
+        assert report.residualIsZero and report.sizeParams == {"count": 100}
 
 
 def _random_weyl_matrix(rng, gens, n):
@@ -360,7 +379,7 @@ def _random_weyl_matrix(rng, gens, n):
         for _ in range(rng.randint(1, 2)):
             v = tuple(rng.randint(0, 1) for _ in gens.names)
             u = tuple(rng.randint(0, 1) for _ in gens.names)
-            c = C(rng.choice([-2, -1, 1, 2]))
+            c = GaussianRational(rng.choice([-2, -1, 1, 2]))
             out = out + weyl.WeylElement(gens, {gens.key(v, u): c})
         return out
 

@@ -14,7 +14,7 @@ from nc_capelli import matrixops as mo
 from nc_capelli import pbw, weyl
 from nc_capelli.ringapi import COEFFICIENT_RING
 from nc_capelli.scalars import Coefficient, GaussianRational
-from nc_capelli.weyl import EXP_LIMIT, GaussIntWeyl, GeneratorSet, WeylElement
+from nc_capelli.weyl import EXP_LIMIT, GeneratorSet, WeylElement
 
 
 def C(value, den=None):
@@ -134,31 +134,19 @@ def _fail(*args):
 @given(_bare_matrix())
 @settings(max_examples=200, deadline=None)
 def test_gauss_int_coldet_matches_generic(case):
-    """coldet of a parameter-free Weyl matrix runs on Gaussian integers
-    (never through WeylElement.mul_into) and equals, term for term, the
-    generic Laplace recursion and the permutation walk; at the exponent
-    limit every path raises OverflowError.  With one parametric value
-    (d1) it takes the generic path (never GaussIntWeyl.mul_into) and
-    still equals the permutation walk."""
+    """coldet of a Weyl matrix runs on Gaussian integers (never through
+    WeylElement.mul_into) and equals, term for term, the generic Laplace
+    recursion and the permutation walk; at the exponent limit every path
+    raises OverflowError."""
     M, at_limit = case
-    one = M.ring.one
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(WeylElement, "mul_into", _fail)
         got = _outcome(mo.coldet, M)
-    generic = _outcome(lambda M: mo._laplace(M, one, WeylElement.mul_into), M)
+    generic = _outcome(
+        lambda M: mo._laplace(M, M.ring.one, WeylElement.mul_into), M)
     reference = _outcome(mo.coldet_permutations, M)
     assert got == generic == reference
     assert (got is OverflowError) == at_limit
-    if at_limit:
-        return
-    # one value becomes parametric
-    d1 = Coefficient.param("d1")
-    M.entries[0][-1] = M.entries[0][-1] + WeylElement(_XY, {0: d1})
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GaussIntWeyl, "mul_into", _fail)
-        got = mo.coldet(M)
-    assert got == mo.coldet_permutations(M)
-    assert got == mo._laplace(M, one, WeylElement.mul_into)
 
 
 class TestDecomplexify:

@@ -147,14 +147,14 @@ CASES = [
      lambda: cayley.verify_cayley_decomplexified(1)),
     ("quaternion_expected(kind, n + 1)", "cayley.quaternion complexForm n=1",
      lambda: cayley.verify_cayley_quaternion("complexForm", 1)),
-    ("coldet_permutations of the transpose", "oracle.coldet count=40",
-     lambda: idn.verify_oracle_coldet(40)),
-    ("re_part = identity", "oracle.decomplexify count=30",
-     lambda: idn.verify_oracle_decomplexify(30)),
+    ("coldet_permutations of the transpose", "oracle.coldet",
+     idn.verify_oracle_coldet),
+    ("re_part = identity", "oracle.decomplexify",
+     idn.verify_oracle_decomplexify),
     ("transpose = identity", "css.implications n=2",
      lambda: idn.verify_implications(2)),
-    ("_wedge_sign = 1", "oracle.topform count=30",
-     lambda: idn.verify_oracle_topform(30)),
+    ("_wedge_sign = 1", "oracle.topform",
+     idn.verify_oracle_topform),
     ("derivative scaled by 2", "cayley.radial n=2 s=2",
      lambda: cayley.radial_identity(2, 2)),
     ("psi_i^2 = 1", "factorization.global-cancellation n=2",

@@ -23,10 +23,10 @@ DIGESTS = {
         "8503b591d3a1b8ae22f3bf9b4a62d110ba59ccfd0095e81e808b781c77287ae4"),
     "default": (
         ["run", "--workers", "1"], 90,
-        "c75237ab255ddadf0f7d1d5bc8c71b5a0c57b62dc850dd978147ecd4b00086c1"),
+        "b7568c5cf734cd59782504948f15aca3f1c8faf7ed4303456c9c30c5995a3b77"),
     "max-n 3": (
         ["run", "--max-n", "3", "--workers", "1"], 128,
-        "e65b75fef1cae1255ca811c02ec7c63a525b2c418da425420f8681ada871c50b"),
+        "5bd24b9b034a865d55eb41f7352821c42b39b196a9c662f00ba520c94244236d"),
 }
 
 

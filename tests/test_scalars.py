@@ -1,5 +1,6 @@
 """Exact scalar layer: Gaussian rationals with formal parameters."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -221,52 +222,31 @@ def gaussians(draw):
 
 
 def wrapped(g):
-    """g as an all-Coefficient value, built without the ``terms`` view."""
+    """g as a constant Coefficient."""
     return C(g.re) + I * C(g.im)
 
 
 class TestBareAndWrapped:
-    """A bare GaussianRational and the constant Coefficient it equals are
-    interchangeable: mixed arithmetic, ``==`` and ``hash`` agree."""
+    """A bare GaussianRational and a Coefficient are separate types: a
+    Coefficient takes a bare factor, and no other operation mixes them."""
 
     @given(gaussians(), coefficients())
     @settings(max_examples=80, deadline=None)
     def test_mixed_arithmetic(self, g, c):
-        w = wrapped(g)
-        for got, want in [(g + c, w + c), (c + g, c + w), (g - c, w - c),
-                          (c - g, c - w), (g * c, w * c), (c * g, c * w)]:
-            assert isinstance(got, Coefficient)
-            assert got == want and hash(got) == hash(want)
+        got = c * g
+        assert isinstance(got, Coefficient) and got == c * wrapped(g)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(g, c)
+        assert g != wrapped(g) and wrapped(g) != g
 
     @given(gaussians())
     @settings(max_examples=60, deadline=None)
-    def test_eq_and_hash_across_forms(self, g):
-        w = wrapped(g)
-        assert g == w and w == g and not g != w
-        assert hash(g) == hash(w)
-        assert g.terms == w.terms
-        assert g.bar() == w.bar()
-
-    @given(gaussians(), coefficients())
-    @settings(max_examples=60, deadline=None)
-    def test_int_factor_on_either_side(self, g, c):
+    def test_int_factor_on_either_side(self, g):
         """The Weyl kernel multiplies values by the int 1 from the left."""
         assert 3 * g == g * 3 == g + g + g
         one = 1 * g
         assert type(one) is GaussianRational and one == g
-        for got in (3 * c, c * 3):
-            assert type(got) is Coefficient and got == c + c + c
-        assert 1 * c == c == c * 1
-        assert not 0 * c and not c * 0
-
-    def test_cancelled_parameter_leaves_equal_constant(self):
-        s = Coefficient.param("s")
-        left = (s + C(3, 2) + I) - s
-        assert left.terms.keys() == {()}
-        bare = GaussianRational(Fraction(3, 2), 1)
-        assert left == bare and bare == left and hash(left) == hash(bare)
-        zero = GaussianRational()
-        assert s - s == zero and hash(s - s) == hash(zero)
 
     def test_parametric_differs_from_bare(self):
         s = Coefficient.param("s")

@@ -63,49 +63,48 @@ class TestNormalOrdering:
 
 
 class TestValueForms:
-    """Weyl values are bare GaussianRationals unless a parameter occurs;
-    elements built with wrapped constants are the same elements."""
+    """Weyl values are always GaussianRationals: a parameter enters as the
+    generator of the same name."""
 
-    def test_bare_and_wrapped_constants(self, xy):
-        x, dx = var(xy, "x"), der(xy, "x")
-        mono = next(iter(x.terms))
-        wrapped = WeylElement(xy, {mono: Coefficient.from_rational(3, 2)})
-        bare = WeylElement(xy, {mono: GaussianRational(Fraction(3, 2))})
-        assert wrapped == bare and bare == wrapped
-        assert hash(wrapped) == hash(bare)
-        assert wrapped.render() == bare.render() == "3/2*x"
-        scaled = x.scale(Coefficient.from_rational(3, 2))
-        assert scaled.terms == bare.terms
-        assert isinstance(scaled.terms[mono], GaussianRational)
-        p = dx.scale(Coefficient.param("d1")) + x
-        assert wrapped * p == bare * p and p * wrapped == p * bare
-        assert (wrapped * p).render() == "3/2*x^2 + 3/2*d1*x*dx"
-        assert (p * bare).render() == "3/2*x^2 + 3/2*d1*x*dx + 3/2*d1"
+    @pytest.fixture
+    def xyd(self):
+        return GeneratorSet(["x", "y", "d1"])
 
-    def test_parametric_renders(self, xy):
+    def test_parameter_scales_as_generator(self, xy, xyd):
         d1 = Coefficient.param("d1")
-        x, dx = var(xy, "x"), der(xy, "x")
-        y = var(xy, "y")
+        x, p = var(xyd, "x"), var(xyd, "d1")
+        got = x.scale(d1 + Coefficient.from_rational(1, 4))
+        assert got == x * p + x.scale(Fraction(1, 4))
+        assert x.scale(d1 * d1 - d1) == x * p * p - x * p
+        assert der(xyd, "x").scale(d1) == p * der(xyd, "x")
+        assert all(type(c) is GaussianRational for c in got.terms.values())
+        with pytest.raises(ValueError, match="'d1' is not a generator"):
+            var(xy, "x").scale(d1)
+
+    def test_parametric_renders(self, xyd):
+        d1 = Coefficient.param("d1")
+        x, dx = var(xyd, "x"), der(xyd, "x")
+        y = var(xyd, "y")
         p = (x.scale(d1) + dx) * (dx.scale(d1) + x.scale(Coefficient.i()))
-        assert p.render() == "i*d1*x^2 + (i + d1^2)*x*dx + d1*dx^2 + i"
+        assert p.render() == "x*d1^2*dx + i*x^2*d1 + d1*dx^2 + i*x*dx + i"
         q = (dx + y.scale(d1 * Coefficient.from_rational(1, 2))) * \
             (x * x).scale(d1 - Coefficient.one())
-        assert q.render() == ("(-1/2*d1 + 1/2*d1^2)*x^2*y + (-1 + d1)*x^2*dx"
-                              " + (-2 + 2*d1)*x")
+        assert q.render() == ("1/2*x^2*y*d1^2 - 1/2*x^2*y*d1 + x^2*d1*dx"
+                              " - x^2*dx + 2*x*d1 - 2*x")
 
     @pytest.mark.parametrize("sign, off", [("plus", "1/4*i"),
                                            ("minus", "-1/4*i")])
-    def test_corr_tridiag_renders(self, xy, sign, off):
-        ring = weyl.weyl_ring(xy)
+    def test_corr_tridiag_renders(self, xyd, sign, off):
+        ring = weyl.weyl_ring(xyd)
         M = mo.corr_tridiag(ring, [Coefficient.param("d1")], sign)
         assert [[e.render() for e in row] for row in M.entries] == \
-            [["1/4 + d1", off], [off, "-1/4 + d1"]]
-        assert isinstance(next(iter(M.entries[0][1].terms.values())),
-                          GaussianRational)
+            [["d1 + 1/4", off], [off, "d1 - 1/4"]]
+        assert all(type(c) is GaussianRational
+                   for row in M.entries for e in row for c in e.terms.values())
 
-    def test_cancelled_parameter(self, xy):
+    def test_cancelled_parameter(self, xyd):
         d1 = Coefficient.param("d1")
-        x = var(xy, "x")
+        x = var(xyd, "x")
         r = x.scale(d1) - x.scale(d1 - Coefficient.one())
         assert r == x and x == r and hash(r) == hash(x)
         assert r.render() == "x"
@@ -175,12 +174,6 @@ class TestExactDivide:
         with pytest.raises(NotDivisible):
             weyl.exact_divide(x * x + y, x - y)
 
-    def test_parametric_leading_coefficient(self, xy):
-        x, y = var(xy, "x"), var(xy, "y")
-        q = x.scale(Coefficient.param("d1")) + y
-        with pytest.raises(ValueError, match="not a constant: d1"):
-            weyl.exact_divide(x * q, q)
-
     def test_degree_lead_differs_from_key_lead(self, xy):
         """x^3 leads q by degree and y by packed key; the quotient is
         unique, so the order does not change it."""
@@ -189,13 +182,12 @@ class TestExactDivide:
         f = x * x - y + WeylElement.one(xy)
         assert weyl.exact_divide(f * q, q) == f
 
-    def test_parametric_value_off_the_degree_lead(self, xy):
-        """Every value of the divisor must be constant, whatever term
-        leads: x + d1*y used to divide when x led by degree."""
-        x, y = var(xy, "x"), var(xy, "y")
+    def test_parameter_in_the_divisor(self):
+        """A parameter is a generator, so x + d1*y divides like x + y."""
+        gens = GeneratorSet(["x", "y", "d1"])
+        x, y = var(gens, "x"), var(gens, "y")
         q = x + y.scale(Coefficient.param("d1"))
-        with pytest.raises(ValueError, match="not a constant: d1"):
-            weyl.exact_divide(x * q, q)
+        assert weyl.exact_divide(q * x, q) == x
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -262,8 +254,8 @@ def _ref_apply(op, p):
 
 
 _VALUES = [GaussianRational(1), GaussianRational(-2), GaussianRational(0, 1),
-           GaussianRational(Fraction(1, 3), -1), Coefficient.param("d1"),
-           Coefficient.param("d1") + Coefficient.one()]
+           GaussianRational(Fraction(1, 3), -1),
+           GaussianRational(Fraction(-5, 2), Fraction(2, 7))]
 _SMALL = st.integers(0, 3)
 # the x exponents of a left factor may reach EXP_LIMIT - 3; the factor
 # on the right adds at most 3 to them
@@ -315,7 +307,7 @@ def test_packed_product_matches_reference(data, n, ints):
     assert _unpacked(got) == _ref_mul(left, right)
     assert got == _packed(gens, _ref_mul(left, right))
     into = {0: 1 if ints else G_ONE}
-    a.mul_into(b, into, negate=True)
+    weyl._mul_kernel(gens, a.terms, b.terms, into, negate=True)
     assert element(into) == WeylElement.one(gens) - got
 
 
