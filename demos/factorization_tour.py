@@ -6,7 +6,6 @@ Run:  python demos/factorization_tour.py
 """
 
 from nc_capelli import identities as idn
-from nc_capelli.scalars import Coefficient
 
 
 def main():
@@ -16,11 +15,11 @@ def main():
         print(f"  sign={sign}: residual zero = {report.residualIsZero}")
 
     print()
-    print("Structured instances with a free central parameter d1:")
-    d1 = Coefficient.param("d1")
+    print("Structured instances with a free central parameter d1,"
+          " one more generator of the host:")
     (inst,) = idn.main_theorem_instances(1)
     for sign in ("plus", "minus"):
-        report = idn.verify_main_theorem(inst, [d1], sign)
+        report = idn.verify_main_theorem(inst, inst.ds, sign)
         print(f"  {inst.name}, sign={sign}: "
               f"residual zero = {report.residualIsZero}")
 

@@ -4,57 +4,62 @@ dequaternionified, and the radial-part identity.
 The formal exponent s is handled by integer sweeps plus exact Lagrange
 interpolation: a degree-d polynomial identity verified at d+1 distinct
 integer points is a proof of the polynomial identity.  All work happens
-in the commutative polynomial layer of the Weyl algebra plus apply().
+in the commutative polynomial layer of the Weyl algebra plus apply();
+a polynomial in s is a Weyl polynomial over the one generator s.
 """
 
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from itertools import product
 
 from . import matrixops as mo
 from . import weyl
 from .identities import bool_report, classical_weyl, complex_weyl, residual_report
 from .ringapi import commutator
-from .scalars import Coefficient
+from .scalars import G_HALF, G_ZERO, GaussianRational
+
+_S = weyl.GeneratorSet(["s"])
+
+
+def _s_plus(c):
+    """The polynomial s + c, for a rational c."""
+    return weyl.WeylElement.variable(_S, "s") + weyl.WeylElement.one(_S).scale(c)
 
 
 def _constant_of(w):
-    """The value of a constant Weyl element, as a Coefficient; ValueError
-    otherwise."""
+    """The value of a constant Weyl element, as a GaussianRational;
+    ValueError otherwise."""
     if w.terms.keys() - {0}:
         raise ValueError(f"not a constant: {w.render()}")
-    return Coefficient({(): w.terms[0]} if w.terms else {})
+    return w.terms.get(0, G_ZERO)
 
 
 def interpolate(points):
-    """Exact Lagrange interpolation through [(s, value)] integer points;
-    returns a Coefficient polynomial in the parameter s."""
-    s = Coefficient.param("s")
-    out = Coefficient.zero()
+    """Exact Lagrange interpolation through [(s, value)] integer points,
+    each value a GaussianRational; returns a polynomial in s."""
+    out = weyl.WeylElement.zero(_S)
     for i, (si, vi) in enumerate(points):
-        basis = Coefficient.one()
+        basis = weyl.WeylElement.one(_S).scale(vi)
         for j, (sj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * (s - Coefficient.from_rational(sj)) * \
-                Coefficient.from_rational(1, si - sj)
-        out = out + vi * basis
+            if i != j:
+                basis = (basis * _s_plus(-sj)).scale(Fraction(1, si - sj))
+        out = out + basis
     return out
 
 
 def b_polynomial(n):
-    """b(s) = s(s+1)...(s+n-1) as a Coefficient polynomial in s."""
-    s = Coefficient.param("s")
-    out = Coefficient.one()
+    """b(s) = s(s+1)...(s+n-1) as a polynomial in s."""
+    out = weyl.WeylElement.one(_S)
     for k in range(n):
-        out = out * (s + Coefficient.from_rational(k))
+        out = out * _s_plus(k)
     return out
 
 
 def _quotient(det_d, det_z, s):
     """apply(det_d, det_z^s) exact-divided by det_z^(s-1), as a
-    Coefficient constant, for one integer s >= 1."""
+    GaussianRational constant, for one integer s >= 1."""
     if s < 1:
         raise ValueError("s must be a positive integer")
     prev = det_z ** (s - 1)
@@ -99,7 +104,6 @@ def quaternion_pair(n):
              for a in range(1, n + 1) for b in range(1, n + 1)]
     gens = weyl.GeneratorSet(names)
     ring = weyl.weyl_ring(gens)
-    half = Coefficient.from_rational(1, 2)
     Z = [[None] * (2 * n) for _ in range(2 * n)]
     D = [[None] * (2 * n) for _ in range(2 * n)]
     for a in range(n):
@@ -112,10 +116,10 @@ def quaternion_pair(n):
             Z[2 * a + 1][2 * b + 1] = z1.bar()
             # the derivative matrix is indexed blockwise transposed, as
             # in the classical Cayley operator matrix
-            D[2 * b][2 * a] = d1.scale(half)
-            D[2 * b][2 * a + 1] = -d2.bar().scale(half)
-            D[2 * b + 1][2 * a] = d2.scale(half)
-            D[2 * b + 1][2 * a + 1] = d1.bar().scale(half)
+            D[2 * b][2 * a] = d1.scale(G_HALF)
+            D[2 * b][2 * a + 1] = -d2.bar().scale(G_HALF)
+            D[2 * b + 1][2 * a] = d2.scale(G_HALF)
+            D[2 * b + 1][2 * a + 1] = d1.bar().scale(G_HALF)
     return ring, mo.matrix(ring, Z), mo.matrix(ring, D)
 
 
@@ -156,20 +160,14 @@ def cayley_quaternion(kind, n, s):
 
 def quaternion_expected(kind, n):
     """Closed forms of the two corollaries, as polynomials in s."""
-    s = Coefficient.param("s")
-    two_s = s * Coefficient.from_rational(2)
     if kind == "complexForm":
-        out = Coefficient.from_rational(1, 2 ** (2 * n))
-        for k in range(2 * n):
-            out = out * (s + Coefficient.from_rational(k))
-        return out
+        return b_polynomial(2 * n).scale(Fraction(1, 2 ** (2 * n)))
     if kind == "realForm":
-        out = Coefficient.from_rational(1, 2 ** (4 * n))
-        out = out * (two_s - Coefficient.one())
+        # 2s + k = 2 (s + k/2), and the 4n factors bring 2^(4n)
+        out = _s_plus(Fraction(-1, 2)) * _s_plus(Fraction(2 * n - 1, 2))
         for k in range(2 * n - 1):
-            t = two_s + Coefficient.from_rational(k)
+            t = _s_plus(Fraction(k, 2))
             out = out * t * t
-        out = out * (two_s + Coefficient.from_rational(2 * n - 1))
         return out
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -224,7 +222,7 @@ def radial_gl2_report():
     """radial_gl2_example as a report: the constant must be 2."""
     t0 = time.monotonic()
     gl2 = radial_gl2_example()
-    ok = (gl2 - Coefficient.from_rational(2)).is_zero()
+    ok = gl2 == GaussianRational(2)
     return bool_report(
         "cayley.radial.gl2-example", "weyl(l1,l2)", {"n": 2}, ok, t0,
         detail="" if ok else f"got {gl2.render()}",

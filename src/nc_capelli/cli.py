@@ -14,9 +14,10 @@ import re
 import sys
 import time
 import traceback
+from fractions import Fraction
 
 from . import __version__, identities, pbw, swapalg, weyl
-from .scalars import Coefficient
+from .scalars import G_I
 
 VERSION = __version__
 
@@ -93,7 +94,7 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ValueError("division only by nonzero integers")
-                out = out.scale(Coefficient.from_rational(1, int(den)))
+                out = out.scale(Fraction(1, int(den)))
         return out
 
     def power(self):
@@ -120,9 +121,9 @@ class _Parser:
             raise ValueError("unexpected end of input")
         self.take()
         if tok.isdigit():
-            return self.ring.from_coefficient(Coefficient.from_rational(int(tok)))
+            return self.ring.one.scale(int(tok))
         if tok == "i":
-            return self.ring.from_coefficient(Coefficient.i())
+            return self.ring.one.scale(G_I)
         return self.resolve(tok)
 
 
@@ -275,7 +276,13 @@ def _main(argv):
         except (ValueError, RecursionError, OverflowError) as e:
             print(f"parse error: {e}", file=sys.stderr)
             return 2
-        print(element.render())
+        try:
+            text = element.render()
+        except ValueError:  # an int past Python's int-to-text digit limit
+            print("error: the result holds a number too long to print",
+                  file=sys.stderr)
+            return 2
+        print(text)
         return 0
 
     if args.list:

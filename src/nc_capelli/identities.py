@@ -14,14 +14,15 @@ import random
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
-from .ringapi import COEFFICIENT_RING, commutator
-from .scalars import C_HALF, C_ZERO, G_ONE, Coefficient, GaussianRational
+from .ringapi import commutator
+from .scalars import G_HALF, G_ONE, GaussianRational
 
 
 @dataclass
@@ -141,9 +142,11 @@ def complex_weyl(n, kind="plain"):
     return _shaped_weyl(n, kind, "xy", weyl.complex_pair)
 
 
-def gln_E_matrix(n, doubled=False):
-    """The matrix E = (E_ij) over U(gl_n) (or the doubled algebra)."""
-    spec = pbw.build_doubled_gln(n) if doubled else pbw.build_gln(n)
+def gln_E_matrix(n, doubled=False, central=()):
+    """The matrix E = (E_ij) over U(gl_n) (or the doubled algebra), with
+    the central letters named in ``central``."""
+    build = pbw.build_doubled_gln if doubled else pbw.build_gln
+    spec = build(n, central)
     ring = spec.ring()
     E = mo.matrix(
         ring,
@@ -222,7 +225,7 @@ def check_tcss(M, Y):
     """[M_ij, Y_kl] = -h (delta_jk delta_il + delta_ik delta_jl) with a
     central h; returns (ok, h)."""
     # extract h from the diagonal relation [M_11, Y_11] = -2h
-    h = (-commutator(M.entries[0][0], Y.entries[0][0])).scale(C_HALF)
+    h = (-commutator(M.entries[0][0], Y.entries[0][0])).scale(G_HALF)
     ok = all(
         (commutator(M.entries[i][j], Y.entries[k][l])
          + h.scale((j == k and i == l) + (i == k and j == l))).is_zero()
@@ -281,12 +284,17 @@ def check_factorization_relations(C, Q):
 # ---------------------------------------------------------------------------
 
 def capelli_shifts(n):
-    """diag(n-1, n-2, ..., 0) values as Coefficients."""
-    return [Coefficient.from_rational(n - 1 - k) for k in range(n)]
+    """diag(n-1, n-2, ..., 0) values as GaussianRationals."""
+    return [GaussianRational(n - 1 - k) for k in range(n)]
+
+
+def embed(ring, values):
+    """The scalars ``values`` as elements of the ring."""
+    return [ring.one.scale(v) for v in values]
 
 
 def shift_diag(ring, values):
-    return mo.diag(ring, [ring.from_coefficient(v) for v in values])
+    return mo.diag(ring, embed(ring, values))
 
 
 def mat_bar(M):
@@ -294,7 +302,8 @@ def mat_bar(M):
 
 
 def corrected_coldet(C, Q, ds, sign):
-    """The main theorem's left side, coldet_2n(C^R + Q^R CorrTriDiag(ds)).
+    """The main theorem's left side, coldet_2n(C^R + Q^R CorrTriDiag(ds)),
+    ds central elements of C's ring.
     For C = A B this is also the A^R B^R reading: decomplexification is
     a homomorphism, so (A B)^R and A^R B^R have the same entries
     (oracle.decomplexify checks this)."""
@@ -384,7 +393,7 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
         raise ValueError("antisymmetric requires even n")
     ring, gens, Z, D = complex_weyl(n, kind)
     Dt = D if kind == "antisymmetric" else mo.transpose(D)
-    shifts = capelli_shifts(n)
+    shifts = embed(ring, capelli_shifts(n))
     lhs = corrected_coldet(mo.matmul(Z, Dt), mo.identity(ring, n), shifts, sign)
     ZR = mo.decomplexify(Z)
     rhs = mo.coldet(ZR) * mo.coldet(mo.decomplexify(Dt))
@@ -419,7 +428,8 @@ def verify_rectangular(kind, n, I, J):
         raise ValueError("need |I| = |J| = r <= n")
     ring, ZDt, *_ = _rect_instance(shape, n)
     Q = mo.submatrix(mo.identity(ring, n), I, J)
-    lhs = corrected_coldet(mo.submatrix(ZDt, I, J), Q, capelli_shifts(r), "plus")
+    lhs = corrected_coldet(mo.submatrix(ZDt, I, J), Q,
+                           embed(ring, capelli_shifts(r)), "plus")
     rhs = _cauchy_binet(shape, n, I, J)
     return residual_report(
         f"rect.{'antisym' if conditional else kind}", ring.name,
@@ -486,38 +496,38 @@ def verify_thm_theor1(n):
     return report
 
 
-# A pair (C, Q) over a barred ring for the main theorem.
-MainTheoremInstance = namedtuple("MainTheoremInstance", "name ring C Q")
+# A pair (C, Q) over a barred ring for the main theorem, and its
+# symbolic shifts d_n, ..., d_1: central generators or letters of the ring.
+MainTheoremInstance = namedtuple("MainTheoremInstance", "name ring C Q ds")
 
 
 def main_theorem_instances(n):
-    if n == 1:  # the shift d1 is a central generator of the host
-        gens = weyl.GeneratorSet(["x11", "y11", "d1"])
+    names = [f"d{k}" for k in range(n, 0, -1)]
+    if n == 1:
+        gens = weyl.GeneratorSet(["x11", "y11", *names])
         ring = weyl.weyl_ring(gens)
         z, dz = weyl.complex_pair(gens, "11")
-        return [
-            MainTheoremInstance(
-                "weyl-z-dz", ring, mo.matrix(ring, [[z]]), mo.matrix(ring, [[dz]])
-            )
-        ]
-    spec, ring, E = gln_E_matrix(n, doubled=True)
-    return [MainTheoremInstance(f"doubled-gl{n}", ring, E, mo.identity(ring, n))]
+        ds = [weyl.WeylElement.variable(gens, d) for d in names]
+        return [MainTheoremInstance("weyl-z-dz", ring, mo.matrix(ring, [[z]]),
+                                    mo.matrix(ring, [[dz]]), ds)]
+    spec, ring, E = gln_E_matrix(n, doubled=True, central=names)
+    return [MainTheoremInstance(f"doubled-gl{n}", ring, E, mo.identity(ring, n),
+                                [spec.generator(d) for d in names])]
 
 
 def verify_main_theorem(instance, ds, sign="plus"):
     """coldet_2n(C^R + Q^R CorrTriDiag) =
     coldet(C + Q diag(d_n,...,d_1)) coldet(bar C + bar Q diag(...)).
 
-    ds is the displayed block order (d_n first); preconditions — the
-    factorization relations and bar-commutation — are checked first."""
+    ds, central elements of the instance's ring, is the displayed block
+    order (d_n first); preconditions — the factorization relations and
+    bar-commutation — are checked first."""
     t0 = time.monotonic()
     ring, C, Q = instance.ring, instance.C, instance.Q
-    ds = [d if isinstance(d, Coefficient) else Coefficient.from_rational(d)
-          for d in ds]
     pre_rel = check_factorization_relations(C, Q)
     pre_bar = check_bar_commuting(C, Q)
     lhs = corrected_coldet(C, Q, ds, sign)
-    rhs = bar_factorized(C + mo.matmul(Q, shift_diag(ring, ds)))
+    rhs = bar_factorized(C + mo.matmul(Q, mo.diag(ring, ds)))
     report = residual_report(
         "factorization.main", ring.name,
         {"n": C.rows, "instance": instance.name,
@@ -534,9 +544,9 @@ def verify_holfact_capelli(n, sign="plus"):
     coldet(E + diag(n-1,...,0)) coldet(Eb + diag(n-1,...,0))."""
     t0 = time.monotonic()
     spec, ring, E = gln_E_matrix(n, doubled=True)
-    shifts = capelli_shifts(n)
+    shifts = embed(ring, capelli_shifts(n))
     lhs = corrected_coldet(E, mo.identity(ring, n), shifts, sign)
-    rhs = bar_factorized(E + shift_diag(ring, shifts))
+    rhs = bar_factorized(E + mo.diag(ring, shifts))
     return residual_report(
         "factorization.capelli", ring.name, {"n": n, "sign": sign}, lhs, rhs, t0
     )
@@ -562,7 +572,7 @@ def verify_holfact_general(n, truncate=None):
     gens = weyl.GeneratorSet(host_names)
     host = weyl.weyl_ring(gens)
     alg = swapalg.ExteriorAlgebra(2 * n, host)
-    half_i = Coefficient.from_rational(1, 2) * Coefficient.i()  # 1/(-2i)
+    half_i = GaussianRational(0, Fraction(1, 2))  # 1/(-2i)
     factors, firsts = [], []
     for k in range(1, n + 1):
         psiC1 = alg.zero()
@@ -659,7 +669,8 @@ def verify_css_capelli(css_kind, n, sign="plus"):
             "column_commuting_Y": check_column_commuting(Y),
             "bar_commuting": check_bar_commuting(M, Y, Q),
         }
-    lhs = corrected_coldet(mo.matmul(M, Y), Q, capelli_shifts(n), sign)
+    lhs = corrected_coldet(mo.matmul(M, Y), Q,
+                           embed(ring, capelli_shifts(n)), sign)
     rhs = mo.coldet(mo.decomplexify(M)) * mo.coldet(mo.decomplexify(Y))
     report = residual_report(f"css.capelli.{css_kind if n > 1 else 'n1'}",
                              ring.name, {"n": n, "sign": sign}, lhs, rhs, t0,
@@ -708,13 +719,14 @@ def verify_implications(n):
 
 def verify_capelli_center(n):
     """All u-coefficients C_k of coldet(E + diag(n-1,...,0) + u) are
-    central in U(gl_n)."""
+    central in U(gl_n); u is a central letter of the algebra."""
     t0 = time.monotonic()
-    spec, ring, E = gln_E_matrix(n)
-    u = Coefficient.param("u")
-    shifted = E + shift_diag(ring, [s + u for s in capelli_shifts(n)])
+    spec, ring, E = gln_E_matrix(n, central="u")
+    u = spec.generator("u")
+    shifted = E + mo.diag(
+        ring, [s + u for s in embed(ring, capelli_shifts(n))])
     det = mo.coldet(shifted)
-    parts = det.split_by_param("u")
+    parts = det.split_by_letter("u")
     central = {e: pbw.is_central(x) for e, x in sorted(parts.items())}
     ok = all(central.values())
     return bool_report(
@@ -734,14 +746,14 @@ def verify_hc_image(n):
     prod_i (lam_i + (n+1-2i)/2), exactly as a polynomial in lam."""
     t0 = time.monotonic()
     spec, ring, E = gln_E_matrix(n)
-    half = Coefficient.from_rational(n - 1, 2)
+    half = GaussianRational(Fraction(n - 1, 2))
     shifted = E + shift_diag(ring, [s - half for s in capelli_shifts(n)])
     image = pbw.hc_projection(mo.coldet(shifted))
-    expected = Coefficient.one()
+    one = weyl.WeylElement.one(image.gens)
+    expected = one
     for i in range(1, n + 1):
-        expected = expected * (
-            Coefficient.param(f"lam{i}") + Coefficient.from_rational(n + 1 - 2 * i, 2)
-        )
+        expected = expected * (weyl.WeylElement.variable(image.gens, f"lam{i}")
+                               + one.scale(Fraction(n + 1 - 2 * i, 2)))
     return residual_report(
         "center.hc", ring.name, {"n": n}, image, expected, t0
     )
@@ -772,6 +784,7 @@ def _random_weyl(rng, gens):
 def _random_entry_engines(rng):
     """(ring, random entry) for each engine the coldet oracle covers:
     scalar, Weyl, PBW gl_2 and swap."""
+    scalar = weyl.weyl_ring(weyl.GeneratorSet([]))
     gens = weyl.GeneratorSet(["x1", "x2", "x3"])
     g2 = pbw.build_gln(2)
     pring = g2.ring()
@@ -782,12 +795,11 @@ def _random_entry_engines(rng):
                   frozenset({"p", "r"}): "commute"},
     )
     return [
-        (COEFFICIENT_RING,
-         lambda: COEFFICIENT_RING.from_coefficient(_random_coefficient(rng))),
+        (scalar, lambda: scalar.one.scale(_random_coefficient(rng))),
         (weyl.weyl_ring(gens), lambda: _random_weyl(rng, gens)),
         (pring, lambda: g2.generator(rng.choice(g2.basis)).scale(
             _random_coefficient(rng, gaussian=False)
-        ) + pring.from_coefficient(_random_coefficient(rng))),
+        ) + pring.one.scale(_random_coefficient(rng))),
         (table.ring(), lambda: table.letter(rng.choice(table.letters)).scale(
             _random_coefficient(rng))),
     ]
@@ -911,10 +923,9 @@ def _rect_cases(kind, n, rs=(1, 2)):
 def _main_cases(n, sign):
     """The Weyl n = 1 instance at a symbolic d1 and at d1 = 0; the
     doubled gl_2 instance at symbolic (d2, d1)."""
-    ds_choices = ([[Coefficient.param("d1")], [C_ZERO]] if n == 1 else
-                  [[Coefficient.param(f"d{k}") for k in range(n, 0, -1)]])
     return [verify_main_theorem(inst, ds, sign)
-            for inst in main_theorem_instances(n) for ds in ds_choices]
+            for inst in main_theorem_instances(n)
+            for ds in ([inst.ds, [inst.ring.zero]] if n == 1 else [inst.ds])]
 
 
 # The Cayley verifiers build on the instance and report builders above,

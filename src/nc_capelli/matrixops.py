@@ -13,7 +13,7 @@ from math import lcm, prod
 from operator import add, sub
 
 from .ringapi import im_part, re_part
-from .scalars import C_I_QUARTER, C_QUARTER, Coefficient
+from .scalars import G_I_QUARTER, G_QUARTER
 from .weyl import GaussIntWeyl, WeylElement
 
 
@@ -214,19 +214,19 @@ def decomplexify(M):
 def corr_tridiag(ring, ds, sign="plus"):
     """The 2x2-block-diagonal correction of the main theorem:
     k-th block [[d_k + 1/4, ±i/4], [±i/4, d_k - 1/4]], blocks listed in
-    the displayed order d_n, d_(n-1), ..., d_1 (``ds`` is that list)."""
+    the displayed order d_n, d_(n-1), ..., d_1 (``ds`` is that list of
+    central elements of the ring)."""
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    ioff = C_I_QUARTER if sign == "plus" else -C_I_QUARTER
+    quarter = ring.one.scale(G_QUARTER)
+    ioff = ring.one.scale(G_I_QUARTER if sign == "plus" else -G_I_QUARTER)
     n = len(ds)
     out = [[ring.zero] * (2 * n) for _ in range(2 * n)]
     for k, d in enumerate(ds):
-        if not isinstance(d, Coefficient):
-            d = Coefficient.from_rational(d)
-        out[2 * k][2 * k] = ring.from_coefficient(d + C_QUARTER)
-        out[2 * k][2 * k + 1] = ring.from_coefficient(ioff)
-        out[2 * k + 1][2 * k] = ring.from_coefficient(ioff)
-        out[2 * k + 1][2 * k + 1] = ring.from_coefficient(d - C_QUARTER)
+        out[2 * k][2 * k] = d + quarter
+        out[2 * k][2 * k + 1] = ioff
+        out[2 * k + 1][2 * k] = ioff
+        out[2 * k + 1][2 * k + 1] = d - quarter
     return RingMatrix(ring, out)
 
 

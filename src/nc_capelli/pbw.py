@@ -9,14 +9,17 @@ are nondecreasing words over the ordered basis and the straightening of
 shared words is memoized per algebra.  A spec is validated like every
 swap table, by the overlap test on its letter triples; for bracket rules
 that test is the Jacobi identity, so a bracket table that breaks it
-raises :class:`swapalg.NonConfluentTable` at construction.
+raises :class:`swapalg.NonConfluentTable` at construction.  A central
+parameter (the Capelli ``u``, a shift d_k) is a basis letter with zero
+brackets, placed after the gl_n letters, so it ends every word.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from .scalars import C_ONE, Coefficient
+from . import weyl
+from .scalars import G_ONE, G_ZERO
 from .swapalg import SwapElement, SwapTable
 
 
@@ -30,12 +33,15 @@ class PbwElement(SwapElement):
 
     __slots__ = ()
 
-    def split_by_param(self, name):
-        """Split terms by the power of a central parameter."""
+    def split_by_letter(self, name):
+        """{e: the part of self of degree e in the letter ``name``, with
+        that letter taken out of its words}.  For a central letter, which
+        ends every word it occurs in, the rest of a word stays normal."""
+        g = self.table.index[name]
         out = {}
-        for m, c in self.terms.items():
-            for e, part in c.split_by_param(name).items():
-                out.setdefault(e, {})[m] = part
+        for word, c in self.terms.items():
+            rest = tuple(k for k in word if k != g)
+            out.setdefault(len(word) - len(rest), {})[rest] = c
         return {e: self._new(t) for e, t in out.items()}
 
     def _render_order(self):
@@ -58,7 +64,7 @@ class PbwElement(SwapElement):
 class LieAlgebraSpec(SwapTable):
     """Ordered basis plus structure constants [e_u, e_v] for u > v.
 
-    brackets: dict (u, v) -> dict w -> Coefficient, for u > v in the
+    brackets: dict (u, v) -> dict w -> GaussianRational, for u > v in the
     basis order; [e_v, e_u] is the negation, [e_u, e_u] = 0.  They are
     read once into the rules e_u e_v -> e_v e_u + [e_u, e_v].
     bar_pairs: as for :class:`SwapTable`, the bar involution.
@@ -71,7 +77,7 @@ class LieAlgebraSpec(SwapTable):
         if not all(u > v for u, v in brackets):
             raise ValueError("brackets must be keyed by (u, v) with u > v")
         rules = {
-            (basis[u], basis[v]): [(C_ONE, (basis[v], basis[u]))] + [
+            (basis[u], basis[v]): [(G_ONE, (basis[v], basis[u]))] + [
                 (c, (basis[w],)) for w, c in brackets.get((u, v), {}).items()
                 if not c.is_zero()
             ]
@@ -112,21 +118,22 @@ def _gln_brackets(n, index, fmt):
             vec = {}
             if j == k:
                 w = index[fmt(i, l)]
-                vec[w] = vec.get(w, Coefficient.zero()) + C_ONE
+                vec[w] = vec.get(w, G_ZERO) + G_ONE
             if l == i:
                 w = index[fmt(k, j)]
-                vec[w] = vec.get(w, Coefficient.zero()) - C_ONE
+                vec[w] = vec.get(w, G_ZERO) - G_ONE
             vec = {w: c for w, c in vec.items() if not c.is_zero()}
             if vec:
                 brackets[(u, v)] = vec
     return brackets
 
 
-def build_gln(n):
-    """U(gl_n): n^2 generators E<i><j> in the triangular order."""
+def build_gln(n, central=()):
+    """U(gl_n): n^2 generators E<i><j> in the triangular order, then the
+    central letters named in ``central``."""
     fmt = lambda i, j: f"E{i}{j}"
     lowering, cartan, raising = _gln_order(n, fmt)
-    basis = lowering + cartan + raising
+    basis = lowering + cartan + raising + list(central)
     index = {name: k for k, name in enumerate(basis)}
     meta = {
         "n": n,
@@ -137,14 +144,16 @@ def build_gln(n):
     return LieAlgebraSpec(basis, _gln_brackets(n, index, fmt), gln_meta=meta)
 
 
-def build_doubled_gln(n):
-    """U(gl_n (+) gl_n-bar): generators E<i><j> and Eb<i><j>; the two
-    copies commute; bar swaps the copies and conjugates coefficients."""
+def build_doubled_gln(n, central=()):
+    """U(gl_n (+) gl_n-bar): generators E<i><j> and Eb<i><j>, then the
+    central letters named in ``central``; the two copies commute; bar
+    swaps the copies, fixes the central letters and conjugates
+    coefficients."""
     fmt = lambda i, j: f"E{i}{j}"
     fmtb = lambda i, j: f"Eb{i}{j}"
     lo, ca, ra = _gln_order(n, fmt)
     lob, cab, rab = _gln_order(n, fmtb)
-    basis = lo + ca + ra + lob + cab + rab
+    basis = lo + ca + ra + lob + cab + rab + list(central)
     index = {name: k for k, name in enumerate(basis)}
     brackets = dict(_gln_brackets(n, index, fmt))
     brackets.update(_gln_brackets(n, index, fmtb))
@@ -156,7 +165,9 @@ def build_doubled_gln(n):
 
 def hc_projection(x):
     """Harish-Chandra projection: keep PBW terms with no raising and no
-    lowering factors, sending each Cartan power E_ii^m to lam<i>^m.
+    lowering factors, sending each Cartan power E_ii^m to lam<i>^m, a
+    Weyl polynomial over the generators lam1, ..., lamn and then one
+    generator per central letter, of the same name.
 
     For central x this is the eigenvalue on the highest-weight Verma
     vector (the raising part on the right annihilates the vector; terms
@@ -167,15 +178,22 @@ def hc_projection(x):
     if not meta or "cartan" not in meta:
         raise TypeError("hc_projection needs a gl_n algebra")
     lowering, cartan, raising = meta["lowering"], meta["cartan"], meta["raising"]
-    out = Coefficient.zero()
+    basis, n = x.table.basis, meta["n"]
+    central = [g for g in range(len(basis))
+               if g not in lowering and g not in raising and g not in cartan]
+    gens = weyl.GeneratorSet([f"lam{i}" for i in range(1, n + 1)]
+                             + [basis[g] for g in central])
+    field = {g: i - 1 for g, i in cartan.items()}
+    field.update((g, n + j) for j, g in enumerate(central))
+    terms = {}
     for word, c in x.terms.items():
         if any(g in lowering or g in raising for g in word):
             continue
-        term = c
-        for g, e in _powers(word):
-            term = term * Coefficient.param(f"lam{cartan[g]}", e)
-        out = out + term
-    return out
+        v = [0] * gens.n
+        for g in word:
+            v[field[g]] += 1
+        terms[gens.key(v, [0] * gens.n)] = c
+    return weyl.WeylElement(gens, terms)
 
 
 def is_central(x):

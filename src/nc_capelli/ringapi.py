@@ -1,16 +1,17 @@
 """The ring contract shared by all algebra engines.
 
-Every engine (scalars, weyl, pbw, swapalg) exposes elements that are
-immutable values supporting ``+``, ``-``, unary ``-``, ``*``,
-``is_zero()`` and ``scale(c)`` (c a ``Coefficient``, ``GaussianRational``
-or rational); engines with a conjugation additionally expose ``bar()``.
-Weyl terms hold ``GaussianRational`` values (a parameter is a Weyl
-generator), PBW and swap terms ``Coefficient``s.  A :class:`Ring`
-bundles the distinguished elements that generic code (matrices,
-verifiers) needs, so matrix algorithms stay agnostic of the host.
+Every engine (weyl, pbw, swapalg) exposes elements that are immutable
+values supporting ``+``, ``-``, unary ``-``, ``*``, ``is_zero()`` and
+``scale(c)`` (c a ``GaussianRational`` or rational); engines with a
+conjugation additionally expose ``bar()``.  Every value is a
+``GaussianRational``: a central parameter is a generator (Weyl) or a
+letter (PBW, swap) of the host, so a scalar c embeds as
+``ring.one.scale(c)``.  A :class:`Ring` bundles the distinguished
+elements that generic code (matrices, verifiers) needs, so matrix
+algorithms stay agnostic of the host.
 
-The element classes, ``Coefficient`` included, are sparse sums built on
-``scalars.SparseElement``; its docstring lists what a subclass supplies.
+The element classes are sparse sums built on ``scalars.SparseElement``;
+its docstring lists what a subclass supplies.
 
 Equality of elements is decided *only* through canonical normal forms:
 ``x == y`` exactly when ``(x - y).is_zero()``.  There is no randomized
@@ -19,7 +20,7 @@ equality anywhere; every residual check is a proof-grade check.
 
 from __future__ import annotations
 
-from .scalars import C_HALF, C_INV_2I, Coefficient
+from .scalars import G_HALF, G_INV_2I
 
 
 class Ring:
@@ -29,10 +30,6 @@ class Ring:
         self.name = name
         self.zero = zero
         self.one = one
-
-    def from_coefficient(self, c):
-        """Embed a scalar Coefficient (or rational) as a ring element."""
-        return self.one.scale(c)
 
     def __repr__(self):
         return f"<Ring {self.name}>"
@@ -45,12 +42,9 @@ def commutator(x, y):
 
 def re_part(x):
     """Re x = (x + bar x)/2."""
-    return (x + x.bar()).scale(C_HALF)
+    return (x + x.bar()).scale(G_HALF)
 
 
 def im_part(x):
     """Im x = (x - bar x)/(2i)."""
-    return (x - x.bar()).scale(C_INV_2I)
-
-
-COEFFICIENT_RING = Ring("coefficient", Coefficient.zero(), Coefficient.one())
+    return (x - x.bar()).scale(G_INV_2I)

@@ -14,20 +14,22 @@ lexicographically least word reachable by allowed swaps (with signs),
 and tables may carry extra two-letter rewrite rules (an empty one kills
 the word).  A Newman-style local confluence self-test runs at table
 construction on all letter triples, PBW specs included; for their
-bracket rules it is the Jacobi identity (Bergman's diamond lemma).
+bracket rules it is the Jacobi identity (Bergman's diamond lemma).  A
+central parameter is a letter that commutes with every letter: its
+overlaps resolve trivially, bar fixes it and the bigrading does not
+count it.
 """
 
 from __future__ import annotations
 
 from .ringapi import Ring, im_part, re_part
 from .scalars import (
-    C_HALF,
-    C_I,
-    C_I_QUARTER,
-    C_INV_2I,
-    C_ONE,
-    C_QUARTER,
-    Coefficient,
+    G_HALF,
+    G_I_QUARTER,
+    G_INV_2I,
+    G_ONE,
+    G_QUARTER,
+    GaussianRational,
     SparseElement,
     accumulate,
 )
@@ -38,7 +40,7 @@ class NonConfluentTable(Exception):
 
 
 class SwapElement(SparseElement):
-    """Sparse sum of canonical words with Coefficient coefficients."""
+    """Sparse sum of canonical words with GaussianRational values."""
 
     __slots__ = ("table", "terms")
 
@@ -97,11 +99,12 @@ class SwapTable:
 
     policies: dict frozenset({name_a, name_b}) -> "commute" | "anticommute"
               (absent pair = no relation)
-    extra_rules: dict (name_a, name_b) -> list of (Coefficient, word of
-              names); replaces the derived rule for that ordered pair
-              (an empty list makes the word a*b zero)
+    extra_rules: dict (name_a, name_b) -> list of (GaussianRational,
+              word of names); replaces the derived rule for that ordered
+              pair (an empty list makes the word a*b zero)
     bar_pairs: list of (unbarred, barred) names defining the bar
-              involution and the bigrading
+              involution and the bigrading; a letter in no pair is fixed
+              by bar and has bidegree (0, 0)
     """
 
     element = SwapElement
@@ -120,9 +123,9 @@ class SwapTable:
                 # letter i after letter j in a word, with i > j in order
                 pol = policies.get(frozenset({self.letters[i], self.letters[j]}))
                 if pol == "commute":
-                    rules[(i, j)] = ((C_ONE, (j, i)),)
+                    rules[(i, j)] = ((G_ONE, (j, i)),)
                 elif pol == "anticommute":
-                    rules[(i, j)] = ((-C_ONE, (j, i)),)
+                    rules[(i, j)] = ((-G_ONE, (j, i)),)
                 elif pol is not None:
                     raise ValueError(f"unknown policy {pol!r}")
         for (a, b), rhs in extra_rules.items():
@@ -132,14 +135,13 @@ class SwapTable:
         self.rules = rules
 
         self.bar_map = {}
-        self.barred = frozenset()
+        self.plain = self.barred = frozenset()
         if bar_pairs:
-            barred = set()
             for plain, bar in bar_pairs:
                 self.bar_map[self.index[plain]] = self.index[bar]
                 self.bar_map[self.index[bar]] = self.index[plain]
-                barred.add(self.index[bar])
-            self.barred = frozenset(barred)
+            self.plain = frozenset(self.index[p] for p, _ in bar_pairs)
+            self.barred = frozenset(self.index[b] for _, b in bar_pairs)
 
         self._memo = {}
         self.check_confluence()
@@ -148,7 +150,7 @@ class SwapTable:
 
     def normalize(self, word):
         """Fully rewrite a word (tuple of letter indices); returns a dict
-        canonical word -> Coefficient."""
+        canonical word -> GaussianRational."""
         cached = self._memo.get(word)
         if cached is not None:
             return cached
@@ -165,33 +167,28 @@ class SwapTable:
         for pos in range(len(word) - 1):
             if (word[pos], word[pos + 1]) in self.rules:
                 return self._reduce_once(word, pos)
-        return {word: C_ONE}
+        return {word: G_ONE}
 
     def check_confluence(self):
-        """Newman local-confluence test over all letter triples."""
-        m = len(self.letters)
-        for a in range(m):
-            for b in range(m):
-                left = self.rules.get((a, b))
-                for c in range(m):
-                    right = self.rules.get((b, c))
-                    if left is None and right is None:
-                        continue
-                    one = self._reduce_once((a, b, c), 0) if left is not None else None
-                    two = self._reduce_once((a, b, c), 1) if right is not None else None
-                    if one is None or two is None:
-                        continue
-                    if one != two:
-                        raise NonConfluentTable(
-                            f"critical pair at {self.render_word((a, b, c))}"
-                        )
+        """Newman local-confluence test: each overlap a*b*c of a rule on
+        (a, b) and one on (b, c) reduces to one normal form either way;
+        overlaps are taken in lexicographic order of their letters."""
+        follow = {}
+        for b, c in sorted(self.rules):
+            follow.setdefault(b, []).append(c)
+        for a, b in sorted(self.rules):
+            for c in follow.get(b, ()):
+                word = (a, b, c)
+                if self._reduce_once(word, 0) != self._reduce_once(word, 1):
+                    raise NonConfluentTable(
+                        f"critical pair at {self.render_word(word)}")
 
     def _reduce_once(self, word, pos):
         """Apply the rule at ``pos`` once, then normalize each result."""
         out = {}
         for coeff, repl in self.rules[(word[pos], word[pos + 1])]:
             sub = self.normalize(word[:pos] + repl + word[pos + 2:])
-            if coeff == C_ONE:
+            if coeff == G_ONE:
                 # share the memoized coefficients: a product by the unit
                 # would store a fresh copy of each in every memo entry
                 accumulate(out, sub.items())
@@ -205,54 +202,54 @@ class SwapTable:
     # --- element constructors ----------------------------------------
 
     def letter(self, name):
-        return self.element(self, {(self.index[name],): C_ONE})
+        return self.element(self, {(self.index[name],): G_ONE})
 
     def zero(self):
         return self.element(self, {})
 
     def one(self):
-        return self.element(self, {(): C_ONE})
+        return self.element(self, {(): G_ONE})
 
     def ring(self):
         return Ring(self.name, self.zero(), self.one())
 
 
+def _bidegree(table, word):
+    """(unbarred, barred) letters of a word; a central letter is neither."""
+    return (sum(1 for k in word if k in table.plain),
+            sum(1 for k in word if k in table.barred))
+
+
 def bigrade_project(x, hol_degree, antihol_degree):
     """Component whose words have exactly hol_degree unbarred and
     antihol_degree barred letters."""
-    barred = x.table.barred
-    terms = {}
-    for w, c in x.terms.items():
-        nb = sum(1 for k in w if k in barred)
-        if nb == antihol_degree and len(w) - nb == hol_degree:
-            terms[w] = c
-    return SwapElement(x.table, terms)
+    want = (hol_degree, antihol_degree)
+    return x._new({w: c for w, c in x.terms.items()
+                   if _bidegree(x.table, w) == want})
 
 
 def bigrades(x):
     """Set of (hol, antihol) bidegrees present in x."""
-    barred = x.table.barred
-    out = set()
-    for w in x.terms:
-        nb = sum(1 for k in w if k in barred)
-        out.add((len(w) - nb, nb))
-    return out
+    return {_bidegree(x.table, w) for w in x.terms}
 
 
 # ---------------------------------------------------------------------------
 # The local factorization engine of the main theorem's proof.
 # ---------------------------------------------------------------------------
 
-def psi_phi_table(extra_rules=None):
-    """Letters psi < phi < psi_bar < phi_bar; barred letters anticommute
-    with unbarred ones; no relation inside each group unless extra rules
-    are imposed."""
-    letters = ("psi", "phi", "psi_bar", "phi_bar")
+def psi_phi_table(extra_rules=None, central=()):
+    """Letters psi < phi < psi_bar < phi_bar, then the central letters
+    named in ``central``, which commute with every letter; barred
+    letters anticommute with unbarred ones; no relation inside each
+    group unless extra rules are imposed."""
+    letters = ("psi", "phi", "psi_bar", "phi_bar", *central)
     policies = {
         frozenset({u, b}): "anticommute"
         for u in ("psi", "phi")
         for b in ("psi_bar", "phi_bar")
     }
+    policies.update((frozenset({p, x}), "commute")
+                    for p in central for x in letters if x != p)
     return SwapTable(
         letters,
         policies=policies,
@@ -261,73 +258,64 @@ def psi_phi_table(extra_rules=None):
     )
 
 
-def _holfact_sides(table):
+def _holfact_sides(table, a, b, c, d, k):
     """Build E = (-2i)(Re psi + a/2 phi + b/2 phi_bar)
                  (Im psi + c/(2i) phi + d/(2i) phi_bar)
-              - (psi + k phi)(psi_bar + k phi_bar)."""
+              - (psi + k phi)(psi_bar + k phi_bar)
+    and the closed forms of its pure components, for central elements
+    a, b, c, d, k of the table (real: bar fixes them)."""
     psi = table.letter("psi")
     phi = table.letter("phi")
     psib = table.letter("psi_bar")
     phib = table.letter("phi_bar")
-    a, b, c, d, k = (Coefficient.param(p) for p in "abcdk")
     left = (
-        re_part(psi) + phi.scale(a * C_HALF) + phib.scale(b * C_HALF)
+        re_part(psi) + phi * a.scale(G_HALF) + phib * b.scale(G_HALF)
     ) * (
-        im_part(psi) + phi.scale(c * C_INV_2I) + phib.scale(d * C_INV_2I)
+        im_part(psi) + phi * c.scale(G_INV_2I) + phib * d.scale(G_INV_2I)
     )
-    left = left.scale(Coefficient.from_rational(-2) * C_I)
-    right = (psi + phi.scale(k)) * (psib + phib.scale(k))
-    pure_hol = ((psi + phi.scale(a)) * (psi + phi.scale(c))).scale(-C_HALF)
-    pure_antihol = ((psib + phib.scale(b)) * (-psib + phib.scale(d))).scale(-C_HALF)
+    left = left.scale(GaussianRational(0, -2))
+    right = (psi + phi * k) * (psib + phib * k)
+    pure_hol = ((psi + phi * a) * (psi + phi * c)).scale(-G_HALF)
+    pure_antihol = ((psib + phib * b) * (-psib + phib * d)).scale(-G_HALF)
     return left - right, pure_hol, pure_antihol
-
-
-def _subst_element(x, bindings):
-    terms = {}
-    for w, c in x.terms.items():
-        cc = c.substitute(bindings)
-        if not cc.is_zero():
-            terms[w] = cc
-    return SwapElement(x.table, terms)
 
 
 def check_holfactpsi(variant="hol"):
     """Verify the local factorization proposition (and its mod-antihol
-    variant) symbolically in the parameters a, b, c, d, k.
+    variant) symbolically in the parameters a, b, c, d, k, central
+    letters of the table.
 
     Checks: (1) the pure holomorphic and antiholomorphic components of
     LHS - RHS match their closed forms identically; (2) the mixed (1,1)
     component vanishes under both sufficient condition sets; (3) the
     degenerate all-zero-parameter instance vanishes in mixed degree.
+    The sides of a condition set are built at its elements: the letters
+    are central, so that is the substitution, and it keeps bidegrees.
     Returns a result dict with an overall "ok" flag.
     """
     if variant not in ("hol", "antihol"):
         raise ValueError("variant must be 'hol' or 'antihol'")
-    table = psi_phi_table()
-    e, pure_hol, pure_antihol = _holfact_sides(table)
-    k = Coefficient.param("k")
-    two_k = Coefficient.from_rational(2) * k
+    table = psi_phi_table(central="abcdk")
+    a, b, c, d, k = (table.letter(p) for p in "abcdk")
+    e, pure_hol, pure_antihol = _holfact_sides(table, a, b, c, d, k)
+    two_k = k.scale(2)
 
     hol_matches = (bigrade_project(e, 2, 0) - pure_hol).is_zero()
     antihol_matches = (bigrade_project(e, 0, 2) - pure_antihol).is_zero()
 
-    cond_sets = [
-        {"a": k, "c": k, "d": Coefficient.param("b") - two_k},
-        {"b": k, "d": -k, "c": two_k - Coefficient.param("a")},
-    ]
-    mixed = bigrade_project(e, 1, 1)
-    mixed_zero = [_subst_element(mixed, cs).is_zero() for cs in cond_sets]
-    zero_params = {p: Coefficient.zero() for p in "abcdk"}
-    degenerate_zero = _subst_element(mixed, zero_params).is_zero()
+    cond_sides = [_holfact_sides(table, *cs) for cs in (
+        (k, b, k, b - two_k, k),       # a = c = k, d = b - 2k
+        (a, k, two_k - a, -k, k),      # b = k, c = 2k - a, d = -k
+    )]
+    mixed_zero = [bigrade_project(cs[0], 1, 1).is_zero() for cs in cond_sides]
+    zero = table.zero()
+    degenerate = _holfact_sides(table, zero, zero, zero, zero, zero)[0]
+    degenerate_zero = bigrade_project(degenerate, 1, 1).is_zero()
 
     # For the stated variant, the component assumed zero by the
     # proposition's last hypothesis is the opposite-parity pure product.
-    if variant == "hol":
-        assumed_zero = [
-            _subst_element(pure_antihol, cs).render() for cs in cond_sets
-        ]
-    else:
-        assumed_zero = [_subst_element(pure_hol, cs).render() for cs in cond_sets]
+    assumed = 2 if variant == "hol" else 1
+    assumed_zero = [cs[assumed].render() for cs in cond_sides]
 
     ok = hol_matches and antihol_matches and all(mixed_zero) and degenerate_zero
     return {
@@ -342,17 +330,18 @@ def check_holfactpsi(variant="hol"):
 
 
 def coronfact_table():
-    """psi/phi table with the extra relations psi^2 = psi*phi,
-    phi*psi = -psi*phi, phi^2 = 0 and their barred mirrors."""
+    """psi/phi table with the central letter k and the extra relations
+    psi^2 = psi*phi, phi*psi = -psi*phi, phi^2 = 0 and their barred
+    mirrors."""
     extra = {
-        ("psi", "psi"): [(C_ONE, ("psi", "phi"))],
-        ("phi", "psi"): [(-C_ONE, ("psi", "phi"))],
+        ("psi", "psi"): [(G_ONE, ("psi", "phi"))],
+        ("phi", "psi"): [(-G_ONE, ("psi", "phi"))],
         ("phi", "phi"): [],
-        ("psi_bar", "psi_bar"): [(C_ONE, ("psi_bar", "phi_bar"))],
-        ("phi_bar", "psi_bar"): [(-C_ONE, ("psi_bar", "phi_bar"))],
+        ("psi_bar", "psi_bar"): [(G_ONE, ("psi_bar", "phi_bar"))],
+        ("phi_bar", "psi_bar"): [(-G_ONE, ("psi_bar", "phi_bar"))],
         ("phi_bar", "phi_bar"): [],
     }
-    return psi_phi_table(extra_rules=extra)
+    return psi_phi_table(extra_rules=extra, central="k")
 
 
 def check_coronfact(sign="plus"):
@@ -373,23 +362,24 @@ def check_coronfact(sign="plus"):
     phi = table.letter("phi")
     psib = table.letter("psi_bar")
     phib = table.letter("phi_bar")
-    k = Coefficient.param("k")
-    ioff = C_I_QUARTER if sign == "plus" else -C_I_QUARTER
+    k = table.letter("k")
+    quarter = table.one().scale(G_QUARTER)
+    ioff = G_I_QUARTER if sign == "plus" else -G_I_QUARTER
 
     lhs = (
-        re_part(psi) + re_part(phi).scale(k + C_QUARTER) + im_part(phi).scale(ioff)
+        re_part(psi) + re_part(phi) * (k + quarter) + im_part(phi).scale(ioff)
     ) * (
-        im_part(psi) + re_part(phi).scale(ioff) + im_part(phi).scale(k - C_QUARTER)
+        im_part(psi) + re_part(phi).scale(ioff) + im_part(phi) * (k - quarter)
     )
     # 1/(-2i) = i/2
-    rhs_main = ((psi + phi.scale(k)) * (psib + phib.scale(k))).scale(-C_INV_2I)
+    rhs_main = ((psi + phi * k) * (psib + phib * k)).scale(-G_INV_2I)
     defect = lhs - rhs_main
 
     mixed_zero = bigrade_project(defect, 1, 1).is_zero()
     grades = bigrades(defect)
     pure_single = len(grades) <= 1 and all(h == 0 or ah == 0 for h, ah in grades)
 
-    printed = (phi + psi.scale(k)) ** 2  # candidate closed form (reported only)
+    printed = (phi + psi * k) ** 2  # candidate closed form (reported only)
     cube_zero = (psi * psi * psi).is_zero()
 
     ok = mixed_zero and pure_single and cube_zero

@@ -27,8 +27,7 @@ from __future__ import annotations
 from math import perm
 
 from .ringapi import Ring
-from .scalars import (C_HALF, C_I, G_ONE, GaussianRational, SparseElement,
-                      _make, _scalar)
+from .scalars import G_HALF, G_I, G_ONE, SparseElement, _make
 
 # Chosen by measurement: the rect n = 3 column determinants ran as fast
 # with 16-bit fields as with 8-bit ones, so the wider field is kept
@@ -167,24 +166,6 @@ class WeylElement(SparseElement):
         self._require_same(other)
         return WeylElement(
             self.gens, _mul_kernel(self.gens, self.terms, other.terms, {}))
-
-    def scale(self, c):
-        """self times the scalar c.  A parameter of c multiplies as the
-        generator of that name, from the left, and ValueError is raised
-        where there is none."""
-        c = _scalar(c)
-        if isinstance(c, GaussianRational):
-            return SparseElement.scale(self, c)
-        gens, terms = self.gens, {}
-        for mono, g in c.terms.items():
-            v = [0] * gens.n
-            for name, e in mono:
-                if name not in gens.index:
-                    raise ValueError(f"parameter {name!r} is not a generator"
-                                     f" of {gens!r}")
-                v[gens.index[name]] = e
-            terms[gens.key(v, [0] * gens.n)] = g
-        return WeylElement(gens, terms) * self
 
     def __pow__(self, n):
         """Raises OverflowError before it multiplies when the power of a
@@ -405,8 +386,8 @@ def complex_pair(gens, base):
     y = WeylElement.variable(gens, f"y{base}")
     dx = WeylElement.derivative(gens, f"x{base}")
     dy = WeylElement.derivative(gens, f"y{base}")
-    z = x + y.scale(C_I)
-    dz = (dx - dy.scale(C_I)).scale(C_HALF)
+    z = x + y.scale(G_I)
+    dz = (dx - dy.scale(G_I)).scale(G_HALF)
     return z, dz
 
 

@@ -54,13 +54,6 @@ MUTANTS = [
         "",
         ["tests/test_weyl.py::test_falling_factorial_action"], 120),
     Mutant(
-        "scale drops a parameter's exponent",
-        "nc_capelli/weyl.py",
-        "v[gens.index[name]] = e",
-        "v[gens.index[name]] = 1",
-        ["tests/test_weyl.py::TestValueForms::"
-         "test_parameter_scales_as_generator"], 120),
-    Mutant(
         "the peeled d_g is not taken off the left key",
         "nc_capelli/weyl.py",
         """\
@@ -108,6 +101,18 @@ MUTANTS = [
         "GaussIntWeyl.mul_into), prod(scales[1:])",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
+    Mutant(
+        "the letter-degree split leaves the central letter in the word",
+        "nc_capelli/pbw.py",
+        "out.setdefault(len(word) - len(rest), {})[rest] = c",
+        "out.setdefault(len(word) - len(rest), {})[word] = c",
+        ["tests/test_pbw.py::TestCentrality"], 120),
+    Mutant(
+        "bigrade_project counts a central letter as holomorphic",
+        "nc_capelli/swapalg.py",
+        "return (sum(1 for k in word if k in table.plain),",
+        "return (sum(1 for k in word if k not in table.barred),",
+        ["tests/test_swapalg.py::TestLocalFactorization"], 120),
     Mutant(
         "no check_confluence() when a swap table is built",
         "nc_capelli/swapalg.py",

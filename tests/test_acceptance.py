@@ -4,17 +4,18 @@ assertion; timing bounds are asserted with the documented budgets.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
 from nc_capelli import cayley
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import GaussianRational
 
 
-def C(value, den=None):
-    return Coefficient.from_rational(value, den)
+def C(value, den=1):
+    return GaussianRational(Fraction(value, den))
 
 
 SIGNS = ("plus", "minus")
@@ -87,12 +88,11 @@ def test_criterion_06_main_theorem():
     t0 = time.monotonic()
     for sign in SIGNS:
         assert idn.verify_local_factorization(sign).residualIsZero, sign
-    d1, d2 = Coefficient.param("d1"), Coefficient.param("d2")
     (inst1,) = idn.main_theorem_instances(1)
     (inst2,) = idn.main_theorem_instances(2)
     for sign in SIGNS:
-        assert idn.verify_main_theorem(inst1, [d1], sign).residualIsZero
-        assert idn.verify_main_theorem(inst2, [d2, d1], sign).residualIsZero
+        assert idn.verify_main_theorem(inst1, inst1.ds, sign).residualIsZero
+        assert idn.verify_main_theorem(inst2, inst2.ds, sign).residualIsZero
     for n in (2, 3):
         assert idn.verify_holfact_general(n).residualIsZero
         for m in range(1, n):

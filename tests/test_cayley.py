@@ -1,15 +1,26 @@
 """Cayley identity family: classical, decomplexified, quaternionic,
 radial-part."""
 
+from fractions import Fraction
+
 import pytest
 
 from nc_capelli import cayley
-from nc_capelli.scalars import Coefficient
-from nc_capelli.weyl import GeneratorSet, WeylElement, weyl_ring
+from nc_capelli.scalars import GaussianRational
+from nc_capelli.weyl import GeneratorSet, WeylElement
+
+# polynomials in s
+S_GENS = GeneratorSet(["s"])
+S = WeylElement.variable(S_GENS, "s")
 
 
-def C(value, den=None):
-    return Coefficient.from_rational(value, den)
+def C(value, den=1):
+    return GaussianRational(Fraction(value, den))
+
+
+def P(value, den=1):
+    """A constant polynomial in s."""
+    return WeylElement.one(S_GENS).scale(Fraction(value, den))
 
 
 class TestScalar:
@@ -84,9 +95,10 @@ class TestConstantOf:
     gens = GeneratorSet(["x", "y"])
 
     def test_constant(self):
-        three = weyl_ring(self.gens).from_coefficient(3)
+        three = WeylElement.one(self.gens).scale(3)
         assert cayley._constant_of(three) == C(3)
-        assert cayley._constant_of(WeylElement.zero(self.gens)).is_zero()
+        assert type(cayley._constant_of(three)) is GaussianRational
+        assert cayley._constant_of(WeylElement.zero(self.gens)) == C(0)
 
     @pytest.mark.parametrize("names", [["x"], ["x", "y"], ["x", None]])
     def test_non_constant(self, names):
@@ -101,12 +113,19 @@ class TestConstantOf:
 class TestInterpolation:
     def test_linear(self):
         pts = [(1, C(3)), (2, C(5))]
-        s = Coefficient.param("s")
-        assert cayley.interpolate(pts) == s * C(2) + C(1)
+        assert cayley.interpolate(pts) == S.scale(2) + P(1)
 
     def test_b_polynomial(self):
-        s = Coefficient.param("s")
-        assert cayley.b_polynomial(2) == s * s + s
+        assert cayley.b_polynomial(2) == S * S + S
+
+    def test_quaternion_closed_forms(self):
+        """(1/4) s (s+1) and (1/16)(2s-1)(2s)^2(2s+1) at n = 1."""
+        assert cayley.quaternion_expected("complexForm", 1) == \
+            (S * S + S).scale(Fraction(1, 4))
+        two_s = S.scale(2)
+        assert cayley.quaternion_expected("realForm", 1) == (
+            (two_s - P(1)) * two_s * two_s * (two_s + P(1))).scale(
+                Fraction(1, 16))
 
 
 class TestSympyFirstPrinciples:

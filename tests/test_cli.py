@@ -83,6 +83,19 @@ class TestExpand:
         assert err.count("\n") == 1 and err.startswith("parse error: ")
         assert time.monotonic() - t0 < 5
 
+    @pytest.mark.parametrize("context, text", [
+        ("weyl", "2^15000*x"),
+        ("gl2", "2^15000*E12"),
+        ("swap", "2^15000*psi"),
+    ])
+    def test_result_past_the_digit_limit_exit_2(self, capsys, context, text):
+        """A value too long for Python's int-to-text conversion ends with
+        one error line and exit 2, not a traceback."""
+        code, out, err = run_cli(["expand", "--context", context, text],
+                                 capsys)
+        assert code == 2 and not out
+        assert err == "error: the result holds a number too long to print\n"
+
     def test_power_at_limit(self, capsys):
         """A word power at EXP_LIMIT squares and multiplies, so it ends
         at once instead of rewriting ever longer words 32767 times."""

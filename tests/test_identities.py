@@ -7,13 +7,9 @@ import pytest
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
-from nc_capelli import pbw, weyl
+from nc_capelli import swapalg, weyl
 from nc_capelli.identities import VerificationReport
-from nc_capelli.scalars import Coefficient, GaussianRational
-
-
-def C(value, den=None):
-    return Coefficient.from_rational(value, den)
+from nc_capelli.scalars import GaussianRational
 
 
 class TestReport:
@@ -117,7 +113,7 @@ class TestMainTheoremSides:
         """With Q = Id the corrected determinant is coldet(C^R + CorrTriDiag)."""
         Z, D, Q = _complex_z_d(1)
         ZDt = mo.matmul(Z, mo.transpose(D))
-        ds = [C(3, 2)]
+        ds = [ZDt.ring.one.scale(Fraction(3, 2))]
         want = mo.coldet(
             mo.decomplexify(ZDt) + mo.corr_tridiag(ZDt.ring, ds, sign))
         assert idn.corrected_coldet(ZDt, Q, ds, sign) == want
@@ -153,7 +149,7 @@ class TestDecomplexified:
         ring, gens, Z, D = idn.complex_weyl(1, "plain")
         ZR = mo.decomplexify(Z)
         DtR = mo.decomplexify(mo.transpose(D))
-        corr = mo.corr_tridiag(ring, idn.capelli_shifts(1), sign)
+        corr = mo.corr_tridiag(ring, idn.embed(ring, idn.capelli_shifts(1)), sign)
         expanded = []
         coldet = mo.coldet
         monkeypatch.setattr(
@@ -174,13 +170,13 @@ class TestDecomplexified:
 class TestMainTheorem:
     def test_n1_parametric(self):
         (inst,) = idn.main_theorem_instances(1)
-        report = idn.verify_main_theorem(inst, [Coefficient.param("d1")])
+        report = idn.verify_main_theorem(inst, inst.ds)
         assert report.residualIsZero
         assert report.notes == {"relations_hold": True, "bar_commuting": True}
 
     def test_n1_zero_shift_q_free_rhs(self):
         (inst,) = idn.main_theorem_instances(1)
-        report = idn.verify_main_theorem(inst, [C(0)])
+        report = idn.verify_main_theorem(inst, [inst.ring.zero])
         assert report.residualIsZero
 
     def test_truncation_defect_nonzero(self):
@@ -281,8 +277,8 @@ class TestResidualReport:
         the constant, so the sides are equal."""
         gens = weyl.GeneratorSet(["x", "s"])
         x = weyl.WeylElement.variable(gens, "x")
-        p = Coefficient.param("s")
-        lhs = x.scale(p + C(3)) - x.scale(p)
+        p = weyl.WeylElement.variable(gens, "s")
+        lhs = x * (p + weyl.WeylElement.one(gens).scale(3)) - x * p
         rhs = x.scale(3)
         (key,) = x.terms
         assert lhs.terms == rhs.terms == {key: GaussianRational(3)}
@@ -338,21 +334,22 @@ class TestRegistry:
         assert all(r.residualIsZero for r in reports)
 
     def test_weyl_values_are_gaussian_rationals(self, monkeypatch):
-        """No verifier at the default config builds a WeylElement with a
-        value that is not a GaussianRational: a parameter, such as the
-        shift d1 of factorization.main, enters as a generator."""
-        real = weyl.WeylElement.__init__
-        forms = set()
-
-        def init(self, gens, terms=None):
-            real(self, gens, terms)
-            forms.update(map(type, self.terms.values()))
-
-        monkeypatch.setattr(weyl.WeylElement, "__init__", init)
+        """No verifier at the default config builds a Weyl, PBW or swap
+        element with a value that is not a GaussianRational: a parameter
+        (the shifts d_k, the Capelli u, the swap a, b, c, d, k, the
+        Cayley s) enters as a generator or a letter."""
+        forms = {}
+        for cls in (weyl.WeylElement, swapalg.SwapElement):
+            def init(self, *args, real=cls.__init__):
+                real(self, *args)
+                forms.setdefault(type(self).__name__, set()).update(
+                    map(type, self.terms.values()))
+            monkeypatch.setattr(cls, "__init__", init)
         config = {"max_n": 2, "signs": "both", "extended": False}
         for vid in sorted(idn.REGISTRY):
             idn.REGISTRY[vid](config)
-        assert forms == {GaussianRational}
+        assert forms == {name: {GaussianRational} for name in (
+            "WeylElement", "PbwElement", "SwapElement")}
 
 
 class TestOracles:

@@ -8,11 +8,11 @@ from nc_capelli import cayley
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import swapalg, weyl
-from nc_capelli.scalars import Coefficient, accumulate
+from nc_capelli.scalars import G_ONE, accumulate
 
 
 def _shift_plus_one(real):
-    return lambda n: [s + Coefficient.one() for s in real(n)]
+    return lambda n: [s + G_ONE for s in real(n)]
 
 
 def _shift_reversed(real):
@@ -67,11 +67,13 @@ def _squares_to_one(real):
 def _commuting_bars(real):
     """The psi/phi table with barred letters commuting with unbarred
     ones instead of anticommuting."""
-    def psi_phi_table(extra_rules=None):
+    def psi_phi_table(extra_rules=None, central=()):
+        letters = ("psi", "phi", "psi_bar", "phi_bar", *central)
+        pairs = [*((u, b) for u in ("psi", "phi") for b in ("psi_bar", "phi_bar")),
+                 *((p, x) for p in central for x in letters if x != p)]
         return swapalg.SwapTable(
-            ("psi", "phi", "psi_bar", "phi_bar"),
-            policies={frozenset({u, b}): "commute"
-                      for u in ("psi", "phi") for b in ("psi_bar", "phi_bar")},
+            letters,
+            policies={frozenset(pair): "commute" for pair in pairs},
             extra_rules=extra_rules,
             bar_pairs=[("psi", "psi_bar"), ("phi", "phi_bar")],
         )
@@ -80,8 +82,7 @@ def _commuting_bars(real):
 
 def _doubled_gl2_main():
     (instance,) = idn.main_theorem_instances(2)
-    ds = [Coefficient.param("d2"), Coefficient.param("d1")]
-    return idn.verify_main_theorem(instance, ds)
+    return idn.verify_main_theorem(instance, instance.ds)
 
 
 # name: (module, helper, replacement built from the real helper)

@@ -1,16 +1,19 @@
 """PBW layer: structure constants, straightening, bar, HC projection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from nc_capelli import cli, pbw, swapalg
+from nc_capelli import matrixops as mo
 from nc_capelli.ringapi import commutator
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import G_I, GaussianRational
+from nc_capelli.weyl import GeneratorSet, WeylElement
 
 
-def C(value, den=None):
-    return Coefficient.from_rational(value, den)
+def C(value, den=1):
+    return GaussianRational(Fraction(value, den))
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +94,7 @@ class TestRendering:
 
     def test_doubled_bar_of_mixed_product(self):
         g = pbw.build_doubled_gln(2)
-        i = Coefficient.i()
-        x = (_product(g, "E12", "Eb21", "E21").scale(i)
+        x = (_product(g, "E12", "Eb21", "E21").scale(G_I)
              + _product(g, "Eb11", "Eb11").scale(C(2)) + g.generator("E22"))
         assert x.render() == (
             "i*E21*E12*Eb21 + i*E11*Eb21 - i*E22*Eb21 + 2*Eb11^2 + E22")
@@ -138,26 +140,32 @@ class TestDoubled:
         assert got == g.generator("Eb11") - g.generator("Eb22")
 
 
+def _shifted_capelli_gl2():
+    """(spec, coldet(E + diag(1 + u, u))) over U(gl_2) with the central
+    letter u."""
+    spec = pbw.build_gln(2, central="u")
+    ring = spec.ring()
+    E = mo.matrix(
+        ring,
+        [[spec.generator(f"E{i}{j}") for j in (1, 2)] for i in (1, 2)],
+    )
+    u = spec.generator("u")
+    return spec, mo.coldet(E + mo.diag(ring, [ring.one + u, u]))
+
+
 class TestHarishChandra:
     def test_n1(self):
         g = pbw.build_gln(1)
-        assert pbw.hc_projection(g.generator("E11")) == Coefficient.param("lam1")
+        assert pbw.hc_projection(g.generator("E11")) == \
+            WeylElement.variable(GeneratorSet(["lam1"]), "lam1")
 
-    def test_gl2_capelli_determinant(self, gl2):
-        from nc_capelli import matrixops as mo
-        ring = gl2.ring()
-        E = mo.matrix(
-            ring,
-            [[gl2.generator(f"E{i}{j}") for j in (1, 2)] for i in (1, 2)],
-        )
-        u = Coefficient.param("u")
-        shifted = E + mo.diag(
-            ring,
-            [ring.from_coefficient(C(1) + u), ring.from_coefficient(u)],
-        )
-        lam1, lam2 = Coefficient.param("lam1"), Coefficient.param("lam2")
-        expected = (lam1 + C(1) + u) * (lam2 + u)
-        assert pbw.hc_projection(mo.coldet(shifted)) == expected
+    def test_gl2_capelli_determinant(self):
+        """A central letter keeps its name in the image."""
+        _, det = _shifted_capelli_gl2()
+        gens = GeneratorSet(["lam1", "lam2", "u"])
+        lam1, lam2, u = (WeylElement.variable(gens, x) for x in gens.names)
+        expected = (lam1 + WeylElement.one(gens) + u) * (lam2 + u)
+        assert pbw.hc_projection(det) == expected
 
 
 class TestCentrality:
@@ -167,22 +175,24 @@ class TestCentrality:
     def test_raising_not_central(self, gl2):
         assert not pbw.is_central(gl2.generator("E12"))
 
-    def test_capelli_coefficients_central(self, gl2):
-        from nc_capelli import matrixops as mo
-        ring = gl2.ring()
-        E = mo.matrix(
-            ring,
-            [[gl2.generator(f"E{i}{j}") for j in (1, 2)] for i in (1, 2)],
-        )
-        u = Coefficient.param("u")
-        shifted = E + mo.diag(
-            ring,
-            [ring.from_coefficient(C(1) + u), ring.from_coefficient(u)],
-        )
-        parts = mo.coldet(shifted).split_by_param("u")
+    def test_capelli_coefficients_central(self):
+        _, det = _shifted_capelli_gl2()
+        parts = det.split_by_letter("u")
         assert parts
         for part in parts.values():
             assert pbw.is_central(part)
+
+    def test_split_by_central_letter(self):
+        """coldet(E + diag(1 + u, u)) = u^2 + (E11 + E22 + 1) u
+        + (E11 + 1) E22 - E21 E12, each part without the letter u."""
+        spec, det = _shifted_capelli_gl2()
+        e = {name: spec.generator(name) for name in ("E11", "E12", "E21", "E22")}
+        one = spec.one()
+        assert det.split_by_letter("u") == {
+            2: one,
+            1: e["E11"] + e["E22"] + one,
+            0: (e["E11"] + one) * e["E22"] - e["E21"] * e["E12"],
+        }
 
 
 class TestLieAlgebraSpec:

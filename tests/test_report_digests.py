@@ -20,13 +20,13 @@ DIGESTS = {
     # the only run that reaches weyl.exact_divide at n = 4
     "cayley.scalar extended": (
         ["run", "--suite", "cayley.scalar", "--extended", "--workers", "1"], 4,
-        "8503b591d3a1b8ae22f3bf9b4a62d110ba59ccfd0095e81e808b781c77287ae4"),
+        "5ab73bd3e13d79dc559bb914d075d2b9204b3b4f61363bccfb5c2623a3b1e247"),
     "default": (
         ["run", "--workers", "1"], 90,
-        "b7568c5cf734cd59782504948f15aca3f1c8faf7ed4303456c9c30c5995a3b77"),
+        "8ac02aced89756ab69ffeb8546c5652d9da4a3770ee3ef8ffd78feb3e6fbcec4"),
     "max-n 3": (
         ["run", "--max-n", "3", "--workers", "1"], 128,
-        "5bd24b9b034a865d55eb41f7352821c42b39b196a9c662f00ba520c94244236d"),
+        "56d0cefc858cb126e5e0132959c00c65a7f689c52795daccdf903add38cbe141"),
 }
 
 

@@ -1,21 +1,24 @@
 """The shared sparse-element core: ring axioms across the four engines,
-the bar involution, and the exponent contract of ``**``."""
+the bar involution, the exponent contract of ``**`` and the type errors
+of ``+`` and ``-``."""
+
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_capelli import pbw
-from nc_capelli.scalars import G_ONE, Coefficient, GaussianRational, accumulate
+from nc_capelli.scalars import G_ONE, G_ZERO, GaussianRational, accumulate
 from nc_capelli.swapalg import ExteriorAlgebra, psi_phi_table
 from nc_capelli.weyl import GeneratorSet, WeylElement, weyl_ring
 
 GENS = GeneratorSet(["x", "y"])
-GL2 = pbw.build_gln(2)
-DOUBLED_GL2 = pbw.build_doubled_gln(2)
-PSI_PHI = psi_phi_table()
+# t is a central parameter: a letter with no relations of its own
+GL2 = pbw.build_gln(2, central="t")
+DOUBLED_GL2 = pbw.build_doubled_gln(2, central="t")
+PSI_PHI = psi_phi_table(central="t")
 EXT = ExteriorAlgebra(2, weyl_ring(GENS))
-T = Coefficient.param("t")
 
 PROPERTY = settings(max_examples=15, deadline=None)
 
@@ -26,12 +29,6 @@ def constants(draw):
     re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
                   .filter(lambda p: p != (0, 0)))
     return GaussianRational(re, im)
-
-
-@st.composite
-def coefficients(draw):
-    """A nonzero constant, optionally times a power of t."""
-    return T ** draw(st.integers(0, 1)) * draw(constants())
 
 
 def _sums(draw, monomial, coefficient, zero, max_terms=3):
@@ -57,7 +54,7 @@ def pbw_elements(draw, spec=GL2):
         for name in draw(st.lists(st.sampled_from(spec.basis), max_size=2)):
             out = out * spec.generator(name)
         return out
-    return _sums(draw, monomial, coefficients(), spec.zero())
+    return _sums(draw, monomial, constants(), spec.zero())
 
 
 @st.composite
@@ -67,7 +64,7 @@ def swap_elements(draw):
         for name in draw(st.lists(st.sampled_from(PSI_PHI.letters), max_size=2)):
             out = out * PSI_PHI.letter(name)
         return out
-    return _sums(draw, monomial, coefficients(), PSI_PHI.zero())
+    return _sums(draw, monomial, constants(), PSI_PHI.zero())
 
 
 @st.composite
@@ -127,15 +124,17 @@ def test_bar_is_an_involutive_automorphism(elements, data):
 
 
 def test_accumulate_prunes_zero_sums():
-    one, two = Coefficient.one(), Coefficient.from_rational(2)
-    out = accumulate({"a": one}, [("a", -one), ("b", two), ("c", Coefficient.zero())])
+    two = GaussianRational(2)
+    out = accumulate({"a": G_ONE}, [("a", -G_ONE), ("b", two), ("c", G_ZERO)])
     assert out == {"b": two}
 
 
 def _power_cases():
     x = WeylElement.variable(GENS, "x")
+    t = GeneratorSet(["t"])  # a polynomial in one parameter
     return [
-        (Coefficient.from_rational(2), Coefficient.one()),
+        (WeylElement.variable(t, "t") + WeylElement.one(t).scale(2),
+         WeylElement.one(t)),
         (x, WeylElement.one(GENS)),
         (GL2.generator("E12"), GL2.one()),
         (PSI_PHI.letter("psi"), PSI_PHI.one()),
@@ -152,3 +151,20 @@ def test_power_exponents(x, one):
     assert x ** 6 == x * x * x * x * x * x
     with pytest.raises(ValueError):
         x ** -1
+
+
+@pytest.mark.parametrize("x", [
+    WeylElement.variable(GENS, "x"), GL2.generator("E12"), PSI_PHI.letter("psi"),
+    EXT.psi(0),
+], ids=["weyl", "pbw", "swap", "exterior"])
+@pytest.mark.parametrize("scalar", [1, G_ONE], ids=["int", "gaussian"])
+def test_sum_with_a_scalar_is_a_type_error(x, scalar):
+    """An element plus or minus a bare scalar, in either order, raises
+    TypeError (a scalar enters as ``one.scale(c)``)."""
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(x, scalar)
+        with pytest.raises(TypeError):
+            op(scalar, x)
+    assert x.__add__(scalar) is NotImplemented
+    assert x.__sub__(scalar) is NotImplemented

@@ -1,4 +1,5 @@
-"""Exact scalar layer: Gaussian rationals with formal parameters."""
+"""Exact scalar layer: Gaussian rationals, and polynomials in central
+parameters as Weyl polynomials over generators of the same names."""
 
 import operator
 from fractions import Fraction
@@ -8,47 +9,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nc_capelli.scalars import G_ONE, Coefficient, GaussianRational, _make, rat
+from nc_capelli import pbw
+from nc_capelli.scalars import (G_I, G_ONE, G_ZERO, Coefficient,
+                                GaussianRational, _make)
+from nc_capelli.weyl import GeneratorSet, WeylElement
+
+# the parameters s, u, k, d1 as commuting generators
+PARAMS = GeneratorSet(["s", "u", "k", "d1"])
+ONE = WeylElement.one(PARAMS)
+I = ONE.scale(G_I)
 
 
-def C(value, den=None):
-    return Coefficient.from_rational(value, den)
+def C(value, den=1):
+    return ONE.scale(Fraction(value, den))
 
 
-I = Coefficient.i()
+def param(name):
+    return WeylElement.variable(PARAMS, name)
 
 
 @st.composite
 def coefficients(draw):
-    out = Coefficient.zero()
+    out = WeylElement.zero(PARAMS)
     for _ in range(draw(st.integers(0, 3))):
         re = draw(st.integers(-5, 5))
         im = draw(st.integers(-5, 5))
         term = C(re) + I * C(im)
-        name = draw(st.sampled_from(["s", "u", "k", "d1"]))
+        name = draw(st.sampled_from(PARAMS.names))
         exp = draw(st.integers(0, 2))
-        out = out + term * Coefficient.param(name, exp) if exp else out + term
+        out = out + term * param(name) ** exp if exp else out + term
     return out
 
 
 class TestGaussianRational:
     def test_arithmetic(self):
-        a = GaussianRational(rat(1, 2), rat(3))
-        b = GaussianRational(rat(1, 2), rat(-3))
-        assert (a + b) == GaussianRational(rat(1))
-        assert (a * b) == GaussianRational(rat(1, 4) + rat(9))
+        a = GaussianRational(Fraction(1, 2), Fraction(3))
+        b = GaussianRational(Fraction(1, 2), Fraction(-3))
+        assert (a + b) == GaussianRational(Fraction(1))
+        assert (a * b) == GaussianRational(Fraction(1, 4) + Fraction(9))
 
     def test_i_squared(self):
-        i = GaussianRational(rat(0), rat(1))
-        assert i * i == GaussianRational(rat(-1))
+        i = GaussianRational(Fraction(0), Fraction(1))
+        assert i * i == GaussianRational(Fraction(-1))
 
     def test_inverse(self):
-        a = GaussianRational(rat(2), rat(-1))
-        assert a * a.inverse() == GaussianRational(rat(1))
+        a = GaussianRational(Fraction(2), Fraction(-1))
+        assert a * a.inverse() == GaussianRational(Fraction(1))
 
     def test_conjugate(self):
-        a = GaussianRational(rat(2), rat(3))
-        assert a.conjugate() == GaussianRational(rat(2), rat(-3))
+        a = GaussianRational(Fraction(2), Fraction(3))
+        assert a.conjugate() == GaussianRational(Fraction(2), Fraction(-3))
 
 
 # Small, mixed and large denominators, so that sums and products meet
@@ -120,14 +130,18 @@ class TestGaussianDifferential:
 
 
 class TestCoefficient:
+    """What the parametric value type held, polynomials over Q[i] in
+    central parameters, is the commutative Weyl polynomial ring over
+    the parameters as generators."""
+
     def test_half_plus_half(self):
-        assert C(1, 2) + C(1, 2) == Coefficient.one()
+        assert C(1, 2) + C(1, 2) == ONE
 
     def test_i_cancellation(self):
         assert (I + (-I)).is_zero()
 
     def test_like_term_merge(self):
-        s = Coefficient.param("s")
+        s = param("s")
         assert s + s == C(2) * s
 
     def test_i_squared(self):
@@ -135,43 +149,29 @@ class TestCoefficient:
 
     def test_inverse_of_minus_two_i(self):
         inv = C(1, 2) * I  # 1/(-2i) = i/2
-        assert inv * (C(-2) * I) == Coefficient.one()
+        assert inv * (C(-2) * I) == ONE
 
     def test_s_times_s_plus_one(self):
-        s = Coefficient.param("s")
-        assert s * (s + Coefficient.one()) == Coefficient.param("s", 2) + s
+        s = param("s")
+        assert s * (s + ONE) == s ** 2 + s
 
     def test_bar(self):
         assert (C(2) + C(3) * I).bar() == C(2) - C(3) * I
-        s = Coefficient.param("s")
+        s = param("s")
         assert (s * I).bar() == -(s * I)
 
-    def test_substitute_sum(self):
-        a, c, k = (Coefficient.param(x) for x in "ack")
-        assert (a + c).substitute({"a": k, "c": k}) == C(2) * k
-
-    def test_substitute_eval(self):
-        s = Coefficient.param("s")
-        poly = s * (s + Coefficient.one())
-        assert poly.substitute({"s": C(3)}) == C(12)
-
-    def test_substitute_affine(self):
-        b, d, k = (Coefficient.param(x) for x in "bdk")
-        assert (d - b).substitute({"d": b - C(2) * k}) == -(C(2) * k)
-
     def test_split_by_param(self):
-        u = Coefficient.param("u")
-        s = Coefficient.param("s")
-        poly = u * u + s * u + C(7)
-        parts = poly.split_by_param("u")
-        assert parts[2] == Coefficient.one()
-        assert parts[1] == s
-        assert parts[0] == C(7)
+        """A central letter's degree splits a PBW element."""
+        spec = pbw.build_gln(1, central="su")
+        u, s = spec.generator("u"), spec.generator("s")
+        poly = u * u + s * u + spec.one().scale(7)
+        parts = poly.split_by_letter("u")
+        assert parts == {2: spec.one(), 1: s, 0: spec.one().scale(7)}
 
     def test_render(self):
         assert C(0).render() == "0"
         assert (C(2) + C(3) * I).render() == "2+3*i"
-        s, u = Coefficient.param("s"), Coefficient.param("u")
+        s, u = param("s"), param("u")
         cases = [
             (s, "s"),
             (-s, "-s"),
@@ -183,11 +183,11 @@ class TestCoefficient:
             (C(-1, 2) * I * s, "-1/2*i*s"),
             (s ** 2 * u, "s^2*u"),
             (C(2) + C(3) * I + s - C(1, 2) * s * u + (C(1) + I) * s ** 2,
-             "2+3*i + s - 1/2*s*u + (1+i)*s^2"),
+             "(1+i)*s^2 - 1/2*s*u + s + 2+3*i"),
         ]
         for x, text in cases:
             assert x.render() == text
-        assert repr(s) == "<Coefficient s>"
+        assert repr(s) == "<WeylElement s>"
 
     @given(coefficients())
     @settings(max_examples=60, deadline=None)
@@ -210,8 +210,12 @@ class TestCoefficient:
         assert (x * y).bar() == x.bar() * y.bar()
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            Coefficient.param("not a param!")
+        """A parameter must be declared as a generator or letter of its
+        host."""
+        with pytest.raises(KeyError):
+            param("not a param!")
+        with pytest.raises(KeyError):
+            pbw.build_gln(1, central="u").generator("s")
 
 
 @st.composite
@@ -221,24 +225,25 @@ def gaussians(draw):
                             Fraction(draw(st.integers(-5, 5)), d))
 
 
-def wrapped(g):
-    """g as a constant Coefficient."""
-    return C(g.re) + I * C(g.im)
-
-
 class TestBareAndWrapped:
-    """A bare GaussianRational and a Coefficient are separate types: a
-    Coefficient takes a bare factor, and no other operation mixes them."""
+    """A bare GaussianRational and an element are separate types: an
+    element takes a bare factor through ``scale``, and ``+``, ``-`` and
+    a bare left factor raise TypeError."""
 
     @given(gaussians(), coefficients())
     @settings(max_examples=80, deadline=None)
     def test_mixed_arithmetic(self, g, c):
-        got = c * g
-        assert isinstance(got, Coefficient) and got == c * wrapped(g)
-        for op in (operator.add, operator.sub, operator.mul):
+        got = c.scale(g)
+        assert got == c * ONE.scale(g)
+        assert all(type(v) is GaussianRational for v in got.terms.values())
+        for op in (operator.add, operator.sub):
             with pytest.raises(TypeError):
                 op(g, c)
-        assert g != wrapped(g) and wrapped(g) != g
+            with pytest.raises(TypeError):
+                op(c, g)
+        with pytest.raises(TypeError):
+            g * c
+        assert g != ONE.scale(g) and ONE.scale(g) != g
 
     @given(gaussians())
     @settings(max_examples=60, deadline=None)
@@ -249,20 +254,27 @@ class TestBareAndWrapped:
         assert type(one) is GaussianRational and one == g
 
     def test_parametric_differs_from_bare(self):
-        s = Coefficient.param("s")
+        s = param("s")
         assert s != G_ONE and G_ONE != s
         assert s + C(1) != G_ONE
 
     def test_foreign_operand_is_not_implemented(self):
-        c = Coefficient.param("s")
+        c = param("s")
         for op in ("__add__", "__sub__", "__mul__", "__eq__"):
             assert getattr(G_ONE, op)(c) is NotImplemented
+        for op in ("__add__", "__sub__"):
+            assert getattr(c, op)(G_ONE) is NotImplemented
         with pytest.raises(TypeError):
             G_ONE + 1
 
     def test_coefficient_scale_stays_coefficient(self):
-        s = Coefficient.param("s")
-        assert C(2).scale(C(3)) == C(6)
-        assert isinstance(C(2).scale(G_ONE), Coefficient)
-        assert (s * C(2)).scale(C(1, 2)) == s
-
+        """``scale`` keeps values bare; the ``Coefficient`` stub's two
+        constructors are the bare zero and one."""
+        s = param("s")
+        assert C(2).scale(C(3).terms[0]) == C(6)
+        assert (s * C(2)).scale(Fraction(1, 2)) == s
+        assert all(type(v) is GaussianRational
+                   for v in C(2).scale(G_ONE).terms.values())
+        assert Coefficient.zero() is G_ZERO and Coefficient.one() is G_ONE
+        assert [g + Coefficient.one() for g in (G_ZERO, G_ONE)] == \
+            [G_ONE, GaussianRational(2)]

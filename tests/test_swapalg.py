@@ -4,7 +4,7 @@ import pytest
 
 from nc_capelli import swapalg
 from nc_capelli import weyl
-from nc_capelli.scalars import Coefficient
+from nc_capelli.scalars import G_I
 from nc_capelli.swapalg import (
     ExteriorAlgebra,
     ExteriorElement,
@@ -52,9 +52,21 @@ class TestSwapTable:
         table = psi_phi_table()
         psi = table.letter("psi")
         phi = table.letter("phi")
-        x = psi * phi.scale(Coefficient.i())
+        x = psi * phi.scale(G_I)
         assert x.bar() == (table.letter("psi_bar")
-                           * table.letter("phi_bar").scale(-Coefficient.i()))
+                           * table.letter("phi_bar").scale(-G_I))
+
+    def test_central_letter(self):
+        """A central letter commutes with every letter, ends every word,
+        and bar fixes it."""
+        table = psi_phi_table(central="ak")
+        a, k = table.letter("a"), table.letter("k")
+        for name in ("psi", "phi", "psi_bar", "phi_bar", "k"):
+            x = table.letter(name)
+            assert a * x == x * a
+        x = k * a * table.letter("phi_bar") * table.letter("psi")
+        assert x.render() == "-psi*phi_bar*a*k"
+        assert x.bar() == -(table.letter("psi_bar") * table.letter("phi") * a * k)
 
 
 class TestBigrades:
@@ -72,6 +84,14 @@ class TestBigrades:
         table = psi_phi_table()
         x = table.letter("psi") * table.letter("phi_bar")
         assert bigrades(x) == {(1, 1)}
+
+    def test_central_letters_not_counted(self):
+        table = psi_phi_table(central="k")
+        psi, k = table.letter("psi"), table.letter("k")
+        x = psi * k + psi * table.letter("psi_bar") * k * k + k
+        assert bigrades(x) == {(1, 0), (1, 1), (0, 0)}
+        assert bigrade_project(x, 1, 0) == psi * k
+        assert bigrade_project(x, 0, 0) == k
 
 
 class TestLocalFactorization:
