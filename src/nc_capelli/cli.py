@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from . import __version__, identities, pbw, swapalg, weyl
@@ -170,6 +169,8 @@ def _run_one(args):
     try:
         reports = identities.REGISTRY[verifier_id](config)
     except Exception as e:
+        import traceback  # only a raising verifier needs it
+
         reports = [identities.bool_report(
             verifier_id, "", {}, False, t0,
             detail=f"{type(e).__name__}: {e}",

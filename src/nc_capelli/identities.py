@@ -13,11 +13,9 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
@@ -25,40 +23,43 @@ from .ringapi import commutator
 from .scalars import G_HALF, G_ONE, GaussianRational
 
 
-@dataclass
-class VerificationReport:
-    identityName: str
-    hostRing: str
-    sizeParams: dict
-    residualIsZero: bool
-    residualRendering: str
-    lhsTermCount: int
-    rhsTermCount: int
-    wallMillis: int
-    conditional: bool = False
-    notes: dict = field(default_factory=dict)
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "identityName hostRing sizeParams residualIsZero residualRendering "
+        "lhsTermCount rhsTermCount wallMillis conditional notes",
+        defaults=(False, None))):
+    """The verdict of one verification; immutable once built.  notes
+    defaults to an empty dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.notes is not None else report._replace(notes={})
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
-                    notes=None):
+                    notes=None, holds=True):
     """The report of an identity lhs = rhs: it holds iff lhs - rhs is
-    exactly zero.  t0 is the time.monotonic() at which the check began."""
+    exactly zero and its preconditions ``holds``.  The rendering is the
+    residual's alone.  t0 is the time.monotonic() at which the check
+    began."""
     residual = None if lhs == rhs else lhs - rhs
     zero = residual is None or residual.is_zero()
     return VerificationReport(
         identityName=name,
         hostRing=ring_name,
         sizeParams=size,
-        residualIsZero=zero,
+        residualIsZero=zero and holds,
         residualRendering="" if zero else residual.render(),
         lhsTermCount=len(lhs.terms),
         rhsTermCount=len(rhs.terms),
         wallMillis=int((time.monotonic() - t0) * 1000),
         conditional=conditional,
-        notes=notes or {},
+        notes=notes,
     )
 
 
@@ -76,7 +77,7 @@ def bool_report(name, ring_name, size, ok, t0, detail="", conditional=False,
         rhsTermCount=0,
         wallMillis=int((time.monotonic() - t0) * 1000),
         conditional=conditional,
-        notes=notes or {},
+        notes=notes,
     )
 
 
@@ -486,14 +487,13 @@ def verify_thm_theor1(n):
         ring,
         [[table.letter(f"M{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)],
     )
-    report = residual_report("factorization.weak", ring.name, {"n": n},
-                             mo.coldet(mo.decomplexify(M)), bar_factorized(M), t0)
     # commutative instance over the Weyl polynomial subring
     _, _, Z, _ = complex_weyl(2, "plain")
-    wres = mo.coldet(mo.decomplexify(Z)) - bar_factorized(Z)
-    report.notes["commutative_instance_zero"] = wres.is_zero()
-    report.residualIsZero = report.residualIsZero and wres.is_zero()
-    return report
+    commutative = (mo.coldet(mo.decomplexify(Z)) - bar_factorized(Z)).is_zero()
+    return residual_report("factorization.weak", ring.name, {"n": n},
+                           mo.coldet(mo.decomplexify(M)), bar_factorized(M), t0,
+                           notes={"commutative_instance_zero": commutative},
+                           holds=commutative)
 
 
 # A pair (C, Q) over a barred ring for the main theorem, and its
@@ -528,13 +528,12 @@ def verify_main_theorem(instance, ds, sign="plus"):
     pre_bar = check_bar_commuting(C, Q)
     lhs = corrected_coldet(C, Q, ds, sign)
     rhs = bar_factorized(C + mo.matmul(Q, mo.diag(ring, ds)))
-    report = residual_report(
+    return residual_report(
         "factorization.main", ring.name,
         {"n": C.rows, "instance": instance.name,
          "ds": [d.render() for d in ds], "sign": sign},
-        lhs, rhs, t0, notes={"relations_hold": pre_rel, "bar_commuting": pre_bar})
-    report.residualIsZero = report.residualIsZero and pre_rel and pre_bar
-    return report
+        lhs, rhs, t0, notes={"relations_hold": pre_rel, "bar_commuting": pre_bar},
+        holds=pre_rel and pre_bar)
 
 
 def verify_holfact_capelli(n, sign="plus"):
@@ -672,12 +671,9 @@ def verify_css_capelli(css_kind, n, sign="plus"):
     lhs = corrected_coldet(mo.matmul(M, Y), Q,
                            embed(ring, capelli_shifts(n)), sign)
     rhs = mo.coldet(mo.decomplexify(M)) * mo.coldet(mo.decomplexify(Y))
-    report = residual_report(f"css.capelli.{css_kind if n > 1 else 'n1'}",
-                             ring.name, {"n": n, "sign": sign}, lhs, rhs, t0,
-                             notes=notes)
-    report.residualIsZero = report.residualIsZero and all(
-        notes["preconditions"].values())
-    return report
+    return residual_report(f"css.capelli.{css_kind if n > 1 else 'n1'}",
+                           ring.name, {"n": n, "sign": sign}, lhs, rhs, t0,
+                           notes=notes, holds=all(notes["preconditions"].values()))
 
 
 def verify_implications(n):
@@ -883,8 +879,8 @@ def verify_oracle_decomplexify():
 # Sweep table (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(namedtuple("Sweep", "cases lo cap over extended_cap per_sign",
+                       defaults=(0, None, False))):
     """The cases one verifier id runs under a CLI config
     {"max_n", "signs", "extended"}.
 
@@ -893,12 +889,8 @@ class Sweep:
     over >= cap - 1 does not depend on max_n).  ``cases(n, sign)``
     returns the reports of one n, once per selected correction sign when
     per_sign is set (sign is None otherwise)."""
-    cases: Callable[[int, str | None], list]
-    lo: int
-    cap: int
-    over: int = 0
-    extended_cap: int | None = None
-    per_sign: bool = False
+
+    __slots__ = ()
 
     def __call__(self, config):
         cap = (self.extended_cap or self.cap) if config["extended"] else self.cap

@@ -191,8 +191,10 @@ class SparseElement:
     - ``_new(terms)``: a sibling over the same generators, basis, table
       or algebra, holding ``terms`` (which it takes ownership of);
     - ``_one()``: the unit of its algebra;
-    - ``__mul__`` (accumulating through :func:`accumulate`) and, where
-      the algebra has a conjugation, ``bar``;
+    - ``__mul__`` (accumulating through :func:`accumulate`), which
+      returns NotImplemented for an operand that is not an element of
+      its engine (so ``x * 1`` raises TypeError), and, where the algebra
+      has a conjugation, ``bar``;
     - ``__eq__`` (and ``__hash__`` where elements are hashed);
     - ``_render_order()``: the monomials of ``terms`` in display order;
     - ``_render_monomial(mono)``: the text of one monomial, ``""`` for

@@ -55,6 +55,8 @@ class SwapElement(SparseElement):
         return self.table.one()
 
     def __mul__(self, other):
+        if not isinstance(other, SwapElement):
+            return NotImplemented
         normalize = self.table.normalize
 
         def products():
@@ -459,6 +461,9 @@ class ExteriorElement(SparseElement):
         return ExteriorElement(self.alg, terms)
 
     def __mul__(self, other):
+        if not isinstance(other, ExteriorElement):
+            return NotImplemented
+
         def products():
             for m1, h1 in self.terms.items():
                 for m2, h2 in other.terms.items():

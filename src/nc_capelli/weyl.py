@@ -163,6 +163,8 @@ class WeylElement(SparseElement):
 
     def __mul__(self, other):
         """Normal-ordered product (see _mul_kernel)."""
+        if not isinstance(other, WeylElement):
+            return NotImplemented
         self._require_same(other)
         return WeylElement(
             self.gens, _mul_kernel(self.gens, self.terms, other.terms, {}))
@@ -245,18 +247,17 @@ def _mul_kernel(gens, left, right, out, negate=False):
     an int on either side) and truth (zero is false): the
     ``GaussianRational`` values of a ``WeylElement``, or the plain ints
     of ``GaussIntWeyl``.  They lie in a domain, so a product of two is
-    never zero and only sums are pruned.  The Leibniz rule is written once, as a two-branch step for
-    a left term whose derivative part is empty or one first-order d_g:
+    never zero and only sums are pruned.  The Leibniz rule is written
+    once, as a two-branch step for a left term whose derivative part is
+    empty or one first-order d_g:
     x^v d_g x^w = x^(v+w) d_g + w_g x^(v+w-e_g).  A left term x^v d^u of
     higher order keeps one d_g of its highest field for that step and
-    first applies the others to the right dict, one d_g at a time, in a
-    loop (x^v d^u R = x^v d_g (d^(u-e_g) R)), each a call of
-    this kernel with the first-order key d_g and the int value 1 into a
-    fresh dict, so the kernel never nests deeper than one call.  A
-    field whose x_g occurs in no term of the running dict stays in the
-    left key: there the d_g are a plain key add.  Callers:
-    ``WeylElement.__mul__`` and ``apply_into``, ``exact_divide`` and
-    ``GaussIntWeyl.mul_into``.
+    first applies the others to the right dict, one field at a time, in
+    one binomial pass each (``_d_power``):
+    x^v d^u R = x^v d_g (d^(u-e_g) R).  A field whose x_g occurs in no
+    term of the running dict stays in the left key: there the d_g are a
+    plain key add.  Callers: ``WeylElement.__mul__`` and ``apply_into``,
+    ``exact_divide`` and ``GaussIntWeyl.mul_into``.
     """
     dshift, guard = gens.dshift, gens.guard
     get = out.get
@@ -275,9 +276,7 @@ def _mul_kernel(gens, left, right, out, negate=False):
             if not u:
                 a -= 1
             if a and any((k >> xshift) & FIELD_MASK for k in terms):
-                unit = {1 << (xshift + dshift): 1}
-                for _ in range(a):
-                    terms = _mul_kernel(gens, unit, terms, {})
+                terms = _d_power(gens, terms, a, xshift)
                 k1 -= a << (xshift + dshift)
         for k2, c2 in terms.items():
             key = k1 + k2
@@ -309,6 +308,38 @@ def _mul_kernel(gens, left, right, out, negate=False):
                         out[key] = s
                     else:
                         del out[key]
+    return out
+
+
+def _d_power(gens, terms, a, xshift):
+    """d_g^a times the {key: value} dict ``terms`` in one pass, x_g being
+    the field at bit ``xshift``:
+    d_g^a x_g^b = sum_j C(a, j) b!/(b-j)! x_g^(b-j) d_g^(a-j).
+    Term j lies j Leibniz steps below the key of term 0, the only key
+    that can overflow."""
+    dshift, guard = gens.dshift, gens.guard
+    step = (1 << xshift) | (1 << (xshift + dshift))
+    out = {}
+    get = out.get
+    for k, c in terms.items():
+        key = k + (a << (xshift + dshift))
+        if key & guard:
+            _overflow()
+        b = (k >> xshift) & FIELD_MASK
+        factor = 1  # C(a, j) b!/(b-j)!
+        for j in range(min(a, b) + 1):
+            v = c if factor == 1 else c * factor
+            cur = get(key)
+            if cur is None:
+                out[key] = v
+            else:
+                s = cur + v
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+            factor = factor * (a - j) * (b - j) // (j + 1)
+            key -= step
     return out
 
 

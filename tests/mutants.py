@@ -62,10 +62,10 @@ MUTANTS = [
         "",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
     Mutant(
-        "each peeled d_g is applied negated",
+        "the binomial factor of a peeled d_g power misses its 1/(j+1)",
         "nc_capelli/weyl.py",
-        "_mul_kernel(gens, unit, terms, {})",
-        "_mul_kernel(gens, unit, terms, {}, True)",
+        "factor = factor * (a - j) * (b - j) // (j + 1)",
+        "factor = factor * (a - j) * (b - j)",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
     Mutant(
         "a field is peeled only where it meets no x_g",
@@ -73,6 +73,13 @@ MUTANTS = [
         "if a and any(",
         "if a and not any(",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+    Mutant(
+        "a report's residualIsZero ignores its preconditions",
+        "nc_capelli/identities.py",
+        "residualIsZero=zero and holds,",
+        "residualIsZero=zero,",
+        ["tests/test_negative_controls.py::test_failed_precondition_fails"],
+        120),
     Mutant(
         "re*re not negated at odd rows in GaussIntWeyl.mul_into",
         "nc_capelli/weyl.py",

@@ -18,6 +18,20 @@ class TestReport:
         again = VerificationReport(**report.to_dict())
         assert again == report
 
+    def test_immutable(self):
+        report = idn.bool_report("x", "", {"n": 1}, False, 0.0, notes={"a": 1},
+                                 conditional=True)
+        with pytest.raises(AttributeError):
+            report.residualIsZero = True
+        assert VerificationReport(**report.to_dict()) == report
+        assert list(report.to_dict()) == list(VerificationReport._fields)
+
+    def test_notes_default_to_a_dict_of_their_own(self):
+        first, second = (idn.bool_report("x", "", {}, True, 0.0)
+                         for _ in range(2))
+        assert first.notes == {} and first.notes is not second.notes
+        assert not first.conditional
+
     def test_fields(self):
         report = idn.verify_classical_capelli("plain", 2)
         assert report.residualIsZero

@@ -173,6 +173,28 @@ def test_perturbed_identity_fails(monkeypatch, perturbation, verify):
     assert not verify().residualIsZero
 
 
+# (checker of a precondition, verifier id and instance, verification)
+PRECONDITIONS = [
+    ("check_factorization_relations", "factorization.main doubled gl_2",
+     _doubled_gl2_main),
+    ("check_css", "css.capelli css n=2",
+     lambda: idn.verify_css_capelli("css", 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "check, verify", [(c, v) for c, _, v in PRECONDITIONS],
+    ids=[f"{c} false: {case}" for c, case, _ in PRECONDITIONS])
+def test_failed_precondition_fails(monkeypatch, check, verify):
+    """With a precondition reported false, the report fails although its
+    residual stays zero, so nothing is rendered."""
+    assert verify().residualIsZero
+    monkeypatch.setattr(idn, check, lambda *matrices: False)
+    report = verify()
+    assert not report.residualIsZero
+    assert report.residualRendering == ""
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("kind", ["capelli", "turnbull"])
 def test_rect_rhs_missing_subset_fails(monkeypatch, kind, warm):

@@ -159,12 +159,13 @@ def test_power_exponents(x, one):
 ], ids=["weyl", "pbw", "swap", "exterior"])
 @pytest.mark.parametrize("scalar", [1, G_ONE], ids=["int", "gaussian"])
 def test_sum_with_a_scalar_is_a_type_error(x, scalar):
-    """An element plus or minus a bare scalar, in either order, raises
-    TypeError (a scalar enters as ``one.scale(c)``)."""
-    for op in (operator.add, operator.sub):
+    """An element plus, minus or times a bare scalar, in either order,
+    raises TypeError (a scalar enters as ``one.scale(c)``)."""
+    for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(TypeError):
             op(x, scalar)
         with pytest.raises(TypeError):
             op(scalar, x)
     assert x.__add__(scalar) is NotImplemented
     assert x.__sub__(scalar) is NotImplemented
+    assert x.__mul__(scalar) is NotImplemented
