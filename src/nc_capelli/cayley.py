@@ -3,9 +3,13 @@ dequaternionified, and the radial-part identity.
 
 The formal exponent s is handled by integer sweeps plus exact Lagrange
 interpolation: a degree-d polynomial identity verified at d+1 distinct
-integer points is a proof of the polynomial identity.  All work happens
-in the commutative polynomial layer of the Weyl algebra plus apply();
-a polynomial in s is a Weyl polynomial over the one generator s.
+integer points is a proof of the polynomial identity; a polynomial in s
+is a Weyl polynomial over the one generator s.  A sweep (_quotient)
+builds det(d) and det(X) once on Gaussian integers
+(``weyl.GaussIntWeyl``), carries det(X)^s from one s to the next by one
+product, applies det(d) to it on int dicts, and turns to Gaussian
+rationals only for the exact division by det(X)^(s-1), which proves the
+quotient a constant.
 """
 
 from __future__ import annotations
@@ -57,14 +61,42 @@ def b_polynomial(n):
     return out
 
 
-def _quotient(det_d, det_z, s):
-    """apply(det_d, det_z^s) exact-divided by det_z^(s-1), as a
-    GaussianRational constant, for one integer s >= 1."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    prev = det_z ** (s - 1)
-    applied = det_d.apply(prev * det_z)
-    return _constant_of(weyl.exact_divide(applied, prev))
+def _quotient(kind, n, s_values):
+    """The quotients apply(det D, det Z^s) / det Z^(s-1), as
+    GaussianRational constants, for the increasing integers s >= 1 of
+    s_values; (Z, D) is the n-th pair of ``kind``: classical,
+    decomplexified, complexForm or realForm.
+
+    Both determinants are built once, as ``matrixops.gauss_int_coldet``
+    pairs (G, den) on Gaussian integers.  ``power`` = (den_z det Z)^s is
+    carried from ``prev``, its value at s - 1, by one product per s, and
+    det D acts on it on int dicts; the result over den_d den_z, divided
+    by ``prev``, is the quotient, which exact_divide proves constant."""
+    if kind in ("classical", "decomplexified"):
+        _, _, Z, D = (classical_weyl if kind == "classical" else complex_weyl)(n)
+    elif kind in ("complexForm", "realForm"):
+        _, Z, D = quaternion_pair(n)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind in ("decomplexified", "realForm"):
+        Z, D = mo.decomplexify(Z), mo.decomplexify(D)
+    det_d, den_d = mo.gauss_int_coldet(D)
+    det_z, den_z = mo.gauss_int_coldet(Z)
+    gens = det_z.gens
+    power = det_z._new({0: 1})
+    s = 0
+    values = []
+    for target in s_values:
+        if target <= s:
+            raise ValueError("s must be a positive integer, increasing")
+        while s < target:
+            prev, power = power, weyl.GaussIntWeyl(
+                gens, *det_z.mul_into(power, ({}, {})))
+            s += 1
+        applied = weyl.GaussIntWeyl(gens, *det_d.apply_into(power, ({}, {})))
+        values.append(_constant_of(weyl.exact_divide(
+            applied.to_weyl(den_d * den_z), prev.to_weyl(1))))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +106,12 @@ def _quotient(det_d, det_z, s):
 def cayley_scalar(n, s):
     """det(d/dx) det(X)^s = b(s) det(X)^(s-1); returns b(s) for one
     integer s >= 1."""
-    _, _, X, D = classical_weyl(n)
-    return _quotient(mo.coldet(D), mo.coldet(X), s)
+    return _quotient("classical", n, [s])[0]
 
 
 def cayley_decomplexified(n, s):
     """det(D^R) det(Z^R)^s = b(s)^2 det(Z^R)^(s-1); returns b(s)^2."""
-    _, _, Z, D = complex_weyl(n)
-    return _quotient(
-        mo.coldet(mo.decomplexify(D)), mo.coldet(mo.decomplexify(Z)), s
-    )
+    return _quotient("decomplexified", n, [s])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +176,9 @@ def cayley_quaternion(kind, n, s):
     realForm: det(D^R) det(Z^R)^s / det(Z^R)^(s-1)
       = (1/2^(4n)) (2s-1)(2s)^2 (2s+1)^2 ... (2s+2n-2)^2 (2s+2n-1).
     """
-    ring, Z, D = quaternion_pair(n)
-    if kind == "complexForm":
-        return _quotient(mo.coldet(D), mo.coldet(Z), s)
-    if kind == "realForm":
-        return _quotient(
-            mo.coldet(mo.decomplexify(D)), mo.coldet(mo.decomplexify(Z)), s
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in ("complexForm", "realForm"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return _quotient(kind, n, [s])[0]
 
 
 def quaternion_expected(kind, n):
@@ -234,45 +257,35 @@ def radial_gl2_report():
 # Sweep + interpolation reports
 # ---------------------------------------------------------------------------
 
-def _sweep_report(name, n, s_values, compute, expected_poly, t0, table_kind):
-    """Run an s-sweep, interpolate, compare to the closed form."""
-    table = []
-    values = []
-    for s in s_values:
-        v = compute(s)
-        values.append((s, v))
-        table.append({"n": n, "s": s, "quotient": v.render()})
+def _sweep_report(name, kind, n, s_values, expected_poly, t0):
+    """Run an s-sweep of ``kind`` (see _quotient), interpolate, compare
+    to the closed form."""
+    values = list(zip(s_values, _quotient(kind, n, s_values)))
     fitted = interpolate(values)
     return residual_report(
         name, "weyl", {"n": n, "sValues": list(s_values)},
         fitted, expected_poly, t0,
-        notes={"kind": table_kind, "bPolynomial": fitted.render(),
-               "results": table},
+        notes={"kind": kind, "bPolynomial": fitted.render(),
+               "results": [{"n": n, "s": s, "quotient": v.render()}
+                           for s, v in values]},
     )
 
 
 def verify_cayley_scalar(n):
     t0 = time.monotonic()
-    return _sweep_report(
-        "cayley.scalar", n, range(1, n + 2), lambda s: cayley_scalar(n, s),
-        b_polynomial(n), t0, "classical",
-    )
+    return _sweep_report("cayley.scalar", "classical", n, range(1, n + 2),
+                         b_polynomial(n), t0)
 
 
 def verify_cayley_decomplexified(n):
     t0 = time.monotonic()
     b = b_polynomial(n)
-    return _sweep_report(
-        "cayley.decomplexified", n, range(1, 2 * n + 2),
-        lambda s: cayley_decomplexified(n, s), b * b, t0, "decomplexified",
-    )
+    return _sweep_report("cayley.decomplexified", "decomplexified", n,
+                         range(1, 2 * n + 2), b * b, t0)
 
 
 def verify_cayley_quaternion(kind, n):
     t0 = time.monotonic()
     degree = 2 * n if kind == "complexForm" else 4 * n
-    return _sweep_report(
-        f"cayley.quaternion.{kind}", n, range(1, degree + 2),
-        lambda s: cayley_quaternion(kind, n, s),
-        quaternion_expected(kind, n), t0, kind,
-    )
+    return _sweep_report(f"cayley.quaternion.{kind}", kind, n,
+                         range(1, degree + 2), quaternion_expected(kind, n), t0)

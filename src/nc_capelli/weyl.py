@@ -188,35 +188,10 @@ class WeylElement(SparseElement):
         return WeylElement(self.gens, self.apply_into(p, {}))
 
     def apply_into(self, p, out, negate=False):
-        """Add each term of self acting on the polynomial p, negated if
-        ``negate``, straight into the dict ``out``; returns out.  p is
-        differentiated once per derivative part d^u of self (a term of p
-        with fewer x_g than d^u has d_g is skipped before any value
-        multiplies), and the x^v values of that part times the derivative
-        go through _mul_kernel, with no derivative on the left."""
+        """Add self acting on the polynomial p, negated if ``negate``,
+        straight into the dict ``out`` (see _apply); returns out."""
         self._require_same(p)
-        if not p.is_polynomial():
-            raise ValueError("apply target must be a polynomial")
-        gens = self.gens
-        dshift, guard = gens.dshift, gens.guard
-        groups = {}
-        for k, c in self.terms.items():
-            u = k >> dshift
-            groups.setdefault(u, {})[k ^ (u << dshift)] = c
-        for u, coeffs in groups.items():
-            dsup = _fields(u)
-            derivative = {}
-            for kp, cp in p.terms.items():
-                # divisibility test of the module docstring
-                if ((kp | guard) - u) & guard != guard:
-                    continue
-                factor = 1
-                for shift, a in dsup:
-                    factor *= perm((kp >> shift) & FIELD_MASK, a)
-                derivative[kp - u] = cp if factor == 1 else cp * factor
-            if derivative:
-                _mul_kernel(gens, coeffs, derivative, out, negate)
-        return out
+        return _apply(self.gens, self.terms, p.terms, out, negate)
 
     # --- rendering ----------------------------------------------------
 
@@ -256,7 +231,7 @@ def _mul_kernel(gens, left, right, out, negate=False):
     one binomial pass each (``_d_power``):
     x^v d^u R = x^v d_g (d^(u-e_g) R).  A field whose x_g occurs in no
     term of the running dict stays in the left key: there the d_g are a
-    plain key add.  Callers: ``WeylElement.__mul__`` and ``apply_into``,
+    plain key add.  Callers: ``WeylElement.__mul__``, ``_apply``,
     ``exact_divide`` and ``GaussIntWeyl.mul_into``.
     """
     dshift, guard = gens.dshift, gens.guard
@@ -311,6 +286,39 @@ def _mul_kernel(gens, left, right, out, negate=False):
     return out
 
 
+def _apply(gens, op, p, out, negate=False):
+    """Add the operator dict ``op`` acting on the polynomial dict ``p``,
+    negated if ``negate``, into the dict ``out``; returns out.  Values as
+    for _mul_kernel.  p is differentiated once per derivative part d^u of
+    op (a term of p with fewer x_g than d^u has d_g is skipped before any
+    value multiplies), and the x^v values of that part times the
+    derivative go through _mul_kernel, with no derivative on the left.
+    A target with a derivative raises ValueError.  Callers:
+    ``WeylElement.apply_into`` and ``GaussIntWeyl.apply_into``."""
+    dshift, guard = gens.dshift, gens.guard
+    limit = 1 << dshift
+    if any(k >= limit for k in p):
+        raise ValueError("apply target must be a polynomial")
+    groups = {}
+    for k, c in op.items():
+        u = k >> dshift
+        groups.setdefault(u, {})[k ^ (u << dshift)] = c
+    for u, coeffs in groups.items():
+        dsup = _fields(u)
+        derivative = {}
+        for kp, cp in p.items():
+            # divisibility test of the module docstring
+            if ((kp | guard) - u) & guard != guard:
+                continue
+            factor = 1
+            for shift, a in dsup:
+                factor *= perm((kp >> shift) & FIELD_MASK, a)
+            derivative[kp - u] = cp if factor == 1 else cp * factor
+        if derivative:
+            _mul_kernel(gens, coeffs, derivative, out, negate)
+    return out
+
+
 def _d_power(gens, terms, a, xshift):
     """d_g^a times the {key: value} dict ``terms`` in one pass, x_g being
     the field at bit ``xshift``:
@@ -348,10 +356,11 @@ class GaussIntWeyl:
     two {key: int} dicts, the pair ``terms``.
 
     ``matrixops.coldet`` expands every Weyl matrix in this form
-    (``matrixops.gauss_int_coldet``), so the kernel adds and multiplies
-    Python ints and builds one GaussianRational per result term at the
-    end (``to_weyl``).  It has what ``matrixops._laplace`` asks of an
-    entry and a minor: truth, ``_new`` and ``mul_into``.
+    (``matrixops.gauss_int_coldet``), and the Cayley sweeps carry the
+    powers det(X)^s and apply det(d) to them in it, so the kernel adds
+    and multiplies Python ints and builds one GaussianRational per result
+    term at the end (``to_weyl``).  It has what ``matrixops._laplace``
+    asks of an entry and a minor: truth, ``_new`` and ``mul_into``.
     """
 
     __slots__ = ("gens", "terms")
@@ -407,6 +416,23 @@ class GaussIntWeyl:
                 _mul_kernel(gens, im, oim, out_re, not negate)
             if ore:
                 _mul_kernel(gens, im, ore, out_im, negate)
+        return out
+
+    def apply_into(self, p, out, negate=False):
+        """Add self acting on the polynomial p, negated if ``negate``,
+        into the pair of dicts ``out``, by the four products of mul_into
+        (see _apply).  Only an empty part of p is skipped, so every term
+        of p is checked to have no derivative; returns out."""
+        gens = self.gens
+        re, im = self.terms
+        pre, pim = p.terms
+        out_re, out_im = out
+        if pre:
+            _apply(gens, re, pre, out_re, negate)
+            _apply(gens, im, pre, out_im, negate)
+        if pim:
+            _apply(gens, re, pim, out_im, negate)
+            _apply(gens, im, pim, out_re, not negate)
         return out
 
 

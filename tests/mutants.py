@@ -39,20 +39,38 @@ MUTANTS = [
         "_mul_kernel(gens, t, q.terms, rem)",
         ["tests/test_weyl.py::TestExactDivide"], 120),
     Mutant(
-        "comb for perm in apply_into's derivative factor",
+        "comb for perm in _apply's derivative factor",
         "nc_capelli/weyl.py",
         "factor *= perm((kp >> shift) & FIELD_MASK, a)",
-        "factor *= comb((kp >> shift) & FIELD_MASK, a)",
+        "factor *= __import__('math').comb((kp >> shift) & FIELD_MASK, a)",
         ["tests/test_weyl.py::test_falling_factorial_action"], 120),
     Mutant(
-        "apply_into without its divisibility skip",
+        "_apply without its divisibility skip",
         "nc_capelli/weyl.py",
         """\
-                if ((kp | guard) - u) & guard != guard:
-                    continue
+            if ((kp | guard) - u) & guard != guard:
+                continue
 """,
         "",
         ["tests/test_weyl.py::test_falling_factorial_action"], 120),
+    Mutant(
+        "the integer apply's im*im call is not negated",
+        "nc_capelli/weyl.py",
+        "_apply(gens, im, pim, out_re, not negate)",
+        "_apply(gens, im, pim, out_re, negate)",
+        ["tests/test_weyl.py::test_gauss_int_apply_matches_generic"], 120),
+    Mutant(
+        "the power chain does not advance",
+        "nc_capelli/cayley.py",
+        """\
+            prev, power = power, weyl.GaussIntWeyl(
+                gens, *det_z.mul_into(power, ({}, {})))
+""",
+        """\
+            prev = power
+""",
+        ["tests/test_cayley.py::test_sweep_matches_direct_computation"],
+        120),
     Mutant(
         "the peeled d_g is not taken off the left key",
         "nc_capelli/weyl.py",

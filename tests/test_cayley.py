@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from nc_capelli import cayley
+from nc_capelli import cayley, weyl
+from nc_capelli import identities as idn
+from nc_capelli import matrixops as mo
 from nc_capelli.scalars import GaussianRational
 from nc_capelli.weyl import GeneratorSet, WeylElement
 
@@ -89,6 +91,48 @@ class TestRadial:
             for k in range(n):
                 b *= s + k
             assert cayley.cayley_scalar(n, s) == C(b)
+
+
+def _direct_pair(kind, n):
+    """(det D, det Z) of a sweep kind, as WeylElements."""
+    if kind in ("classical", "decomplexified"):
+        build = idn.classical_weyl if kind == "classical" else idn.complex_weyl
+        _, _, Z, D = build(n)
+    else:
+        _, Z, D = cayley.quaternion_pair(n)
+    if kind in ("decomplexified", "realForm"):
+        Z, D = mo.decomplexify(Z), mo.decomplexify(D)
+    return mo.coldet(D), mo.coldet(Z)
+
+
+@pytest.mark.parametrize("kind, n, top", [
+    ("classical", 1, 3), ("classical", 2, 3), ("classical", 3, 4),
+    ("decomplexified", 1, 3), ("decomplexified", 2, 5),
+    ("complexForm", 1, 3), ("realForm", 1, 5)])
+def test_sweep_matches_direct_computation(kind, n, top):
+    """Each quotient of a sweep, carried on Gaussian integers along one
+    power chain, equals the quotient computed afresh for its s on
+    Gaussian rationals: det(D) applied to det(Z)^s, exact-divided by
+    det(Z)^(s-1)."""
+    D, Z = _direct_pair(kind, n)
+    direct = [cayley._constant_of(weyl.exact_divide(D.apply(Z ** s),
+                                                    Z ** (s - 1)))
+              for s in range(1, top + 1)]
+    assert cayley._quotient(kind, n, range(1, top + 1)) == direct
+    assert cayley._quotient(kind, n, [2, top]) == [direct[1], direct[-1]]
+
+
+@pytest.mark.parametrize("s_values", [[0], [2, 2], [3, 1]])
+def test_sweep_rejects_s_values(s_values):
+    with pytest.raises(ValueError):
+        cayley._quotient("classical", 1, s_values)
+
+
+def test_unknown_kind():
+    with pytest.raises(ValueError):
+        cayley._quotient("quaternion", 1, [1])
+    with pytest.raises(ValueError):
+        cayley.cayley_quaternion("classical", 1, 1)
 
 
 class TestConstantOf:

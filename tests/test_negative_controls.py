@@ -148,6 +148,8 @@ CASES = [
      lambda: cayley.verify_cayley_decomplexified(1)),
     ("quaternion_expected(kind, n + 1)", "cayley.quaternion complexForm n=1",
      lambda: cayley.verify_cayley_quaternion("complexForm", 1)),
+    ("quaternion_expected(kind, n + 1)", "cayley.quaternion realForm n=1",
+     lambda: cayley.verify_cayley_quaternion("realForm", 1)),
     ("coldet_permutations of the transpose", "oracle.coldet",
      idn.verify_oracle_coldet),
     ("re_part = identity", "oracle.decomplexify",

@@ -4,10 +4,10 @@ and the packed keys against a tuple-keyed reference."""
 import time
 from fractions import Fraction
 from itertools import product
-from math import comb, perm
+from math import comb, lcm, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nc_capelli import weyl
@@ -342,6 +342,84 @@ def test_packed_apply_matches_reference(data, n, big_target):
     into = {0: G_ONE}
     _packed(gens, op).apply_into(_packed(gens, p), into, negate=True)
     assert WeylElement(gens, into) == WeylElement.one(gens) - got
+
+
+_PART = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def _gauss_element(draw, gens, polynomial):
+    """Up to four terms, each exponent up to 3 (no derivative if
+    ``polynomial``), values with denominators in {1, 2, 3, 4, 6} whose
+    real or imaginary parts are sometimes all zero."""
+    parts = draw(st.sampled_from(("re", "im", "both")))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        v = [draw(_SMALL) for _ in range(gens.n)]
+        u = [0 if polynomial else draw(_SMALL) for _ in range(gens.n)]
+        value = GaussianRational(draw(_PART) if parts != "im" else 0,
+                                 draw(_PART) if parts != "re" else 0)
+        if value:
+            terms[gens.key(v, u)] = value
+    return WeylElement(gens, terms)
+
+
+@st.composite
+def _apply_case(draw):
+    gens = GeneratorSet(_NAMES[:draw(st.integers(1, 3))])
+    return (draw(_gauss_element(gens, False)),
+            draw(_gauss_element(gens, True)), draw(st.booleans()))
+
+
+def _scaled(w):
+    """(G, den): w as a GaussIntWeyl G over the lcm den of its value
+    denominators."""
+    den = lcm(1, *(c.d for c in w.terms.values()))
+    return weyl.GaussIntWeyl.from_weyl(w, den), den
+
+
+def _int_apply(op, p, negate=False, start=0):
+    """op acting on p on Gaussian integers, negated if ``negate``, added
+    to the constant ``start``, back as a WeylElement."""
+    (g_op, d_op), (g_p, d_p) = _scaled(op), _scaled(p)
+    den = d_op * d_p
+    out = g_op.apply_into(g_p, ({0: start * den} if start else {}, {}),
+                          negate)
+    return weyl.GaussIntWeyl(op.gens, *out).to_weyl(den)
+
+
+_I_X = WeylElement(GeneratorSet(["x"]), {1: G_I})
+
+
+@given(_apply_case())
+# i*x acting on i*x is -x^2: fails if the im*im call adds
+@example((_I_X, _I_X, False))
+@settings(max_examples=200, deadline=None)
+def test_gauss_int_apply_matches_generic(case):
+    """GaussIntWeyl.apply_into, over the scale of its operands, equals
+    WeylElement.apply, also negated and added into a nonempty sum."""
+    op, p, negate = case
+    want = op.apply(p)
+    assert _int_apply(op, p) == want
+    assert _int_apply(op, p, negate, start=1) == \
+        WeylElement.one(op.gens) + (-want if negate else want)
+
+
+def test_gauss_int_apply_limits(xy):
+    """A target with a derivative raises ValueError from either part, and
+    an exponent pushed past EXP_LIMIT raises OverflowError."""
+    x, dx = var(xy, "x"), der(xy, "x")
+    top = WeylElement(xy, {xy.key((EXP_LIMIT, 0), (0, 0)): G_ONE})
+    for target in (dx, dx.scale(G_I), x + dx.scale(G_I)):
+        with pytest.raises(ValueError, match="polynomial"):
+            _int_apply(x, target)
+    for op, target in ((x, top), (top.scale(G_I), x.scale(G_I)),
+                       (x * x * dx, top + x)):
+        with pytest.raises(OverflowError):
+            _int_apply(op, target)
+    assert _int_apply(dx, top.scale(G_I)) == \
+        WeylElement(xy, {xy.key((EXP_LIMIT - 1, 0), (0, 0)):
+                         GaussianRational(0, EXP_LIMIT)})
 
 
 class TestFieldLimit:
