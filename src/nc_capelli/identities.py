@@ -16,6 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 
 from . import matrixops as mo
 from . import pbw, swapalg, weyl
@@ -46,8 +47,22 @@ def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
     """The report of an identity lhs = rhs: it holds iff lhs - rhs is
     exactly zero and its preconditions ``holds``.  The rendering is the
     residual's alone.  t0 is the time.monotonic() at which the check
-    began."""
-    residual = None if lhs == rhs else lhs - rhs
+    began.
+
+    The sides are ring elements, or both (GaussIntWeyl, den) pairs, each
+    standing for G / den (``matrixops.gauss_int_coldet``).  Pairs are
+    compared on ints (``GaussIntWeyl.same_value``) and converted with
+    ``to_weyl`` only when they differ, to render the residual."""
+    if isinstance(lhs, tuple):
+        (gl, dl), (gr, dr) = lhs, rhs
+        counts = len(gl), len(gr)
+        same = gl.same_value(dl, gr, dr)
+        if not same:
+            lhs, rhs = gl.to_weyl(dl), gr.to_weyl(dr)
+    else:
+        counts = len(lhs.terms), len(rhs.terms)
+        same = lhs == rhs
+    residual = None if same else lhs - rhs
     zero = residual is None or residual.is_zero()
     return VerificationReport(
         identityName=name,
@@ -55,8 +70,8 @@ def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
         sizeParams=size,
         residualIsZero=zero and holds,
         residualRendering="" if zero else residual.render(),
-        lhsTermCount=len(lhs.terms),
-        rhsTermCount=len(rhs.terms),
+        lhsTermCount=counts[0],
+        rhsTermCount=counts[1],
         wallMillis=int((time.monotonic() - t0) * 1000),
         conditional=conditional,
         notes=notes,
@@ -302,14 +317,19 @@ def mat_bar(M):
     return mo.RingMatrix(M.ring, [[e.bar() for e in row] for row in M.entries])
 
 
-def corrected_coldet(C, Q, ds, sign):
-    """The main theorem's left side, coldet_2n(C^R + Q^R CorrTriDiag(ds)),
-    ds central elements of C's ring.
+def corrected_matrix(C, Q, ds, sign):
+    """C^R + Q^R CorrTriDiag(ds), ds central elements of C's ring: the
+    matrix whose column determinant is the main theorem's left side.
     For C = A B this is also the A^R B^R reading: decomplexification is
     a homomorphism, so (A B)^R and A^R B^R have the same entries
     (oracle.decomplexify checks this)."""
     corr = mo.corr_tridiag(C.ring, ds, sign)
-    return mo.coldet(mo.decomplexify(C) + mo.matmul(mo.decomplexify(Q), corr))
+    return mo.decomplexify(C) + mo.matmul(mo.decomplexify(Q), corr)
+
+
+def corrected_coldet(C, Q, ds, sign):
+    """The main theorem's left side, coldet_2n(C^R + Q^R CorrTriDiag(ds))."""
+    return mo.coldet(corrected_matrix(C, Q, ds, sign))
 
 
 def bar_factorized(A):
@@ -368,7 +388,7 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens):
     when no witness appears.  Both stay: the scan always finds a witness
     in the suite and costs about 2 ms at n = 2 and 0.03 s at n = 3, while
     the expansion, the only proof of a zero residual, costs about 10 ms
-    at n = 2 and 14 s (a 6x6 coldet) at n = 3."""
+    at n = 2 and 9-12 s (a 6x6 coldet) at n = 3."""
     lhsM = mo.matmul(ZR, alt) + corr
     zdet = mo.coldet(ZR)
     ddet = mo.coldet(alt)
@@ -429,8 +449,8 @@ def verify_rectangular(kind, n, I, J):
         raise ValueError("need |I| = |J| = r <= n")
     ring, ZDt, *_ = _rect_instance(shape, n)
     Q = mo.submatrix(mo.identity(ring, n), I, J)
-    lhs = corrected_coldet(mo.submatrix(ZDt, I, J), Q,
-                           embed(ring, capelli_shifts(r)), "plus")
+    lhs = mo.gauss_int_coldet(corrected_matrix(
+        mo.submatrix(ZDt, I, J), Q, embed(ring, capelli_shifts(r)), "plus"))
     rhs = _cauchy_binet(shape, n, I, J)
     return residual_report(
         f"rect.{'antisym' if conditional else kind}", ring.name,
@@ -447,10 +467,13 @@ def _rect_instance(shape, n):
 
 
 def _cauchy_binet(shape, n, I, J):
-    """Sum over 2r-subsets L of coldet(Z^R_{dI,L}) coldet((D^t)^R_{L,dJ}): minors
-    cached as mo.gauss_int_coldet's (GaussIntWeyl, den), products summed per
-    da*db."""
-    ring, _, ZR, DtR, minors = _rect_instance(shape, n)
+    """Sum over 2r-subsets L of coldet(Z^R_{dI,L}) coldet((D^t)^R_{L,dJ}),
+    as one (GaussIntWeyl, den) pair standing for G / den.  The minors are
+    cached as mo.gauss_int_coldet's pairs (a, da) and (b, db), and the
+    products a*b summed in one group per da*db; den is the lcm of those
+    products, and each other group is rescaled to it on ints as it is
+    added to the sum."""
+    _, _, ZR, DtR, minors = _rect_instance(shape, n)
 
     def minor(M, rows, cols):  # M, ZR or DtR, lives as long as minors
         if (M, rows, cols) not in minors:
@@ -463,7 +486,12 @@ def _cauchy_binet(shape, n, I, J):
     for L in mo.multi_indexes(2 * n, 2 * len(I)):
         (a, da), (b, db) = minor(ZR, dI, L), minor(DtR, L, dJ)
         a.mul_into(b, groups.setdefault(da * db, a._new({})).terms)
-    return sum((g.to_weyl(den) for den, g in groups.items()), ring.zero)
+    gens = ZR.ring.one.gens
+    den = lcm(*groups)
+    total = groups.pop(den, None) or weyl.GaussIntWeyl(gens, {}, {})
+    for d, g in groups.items():  # total += (den // d) * g, key 0 the unit
+        weyl.GaussIntWeyl(gens, {0: den // d}, {}).mul_into(g, total.terms)
+    return total, den
 
 
 def verify_thm_theor1(n):

@@ -24,7 +24,7 @@ when ((b | guard) - a) & guard == guard, since no field then borrows.
 
 from __future__ import annotations
 
-from math import perm
+from math import gcd, perm
 
 from .ringapi import Ring
 from .scalars import G_HALF, G_I, G_ONE, SparseElement, _make
@@ -359,8 +359,11 @@ class GaussIntWeyl:
     (``matrixops.gauss_int_coldet``), and the Cayley sweeps carry the
     powers det(X)^s and apply det(d) to them in it, so the kernel adds
     and multiplies Python ints and builds one GaussianRational per result
-    term at the end (``to_weyl``).  It has what ``matrixops._laplace``
-    asks of an entry and a minor: truth, ``_new`` and ``mul_into``.
+    term at the end (``to_weyl``).  The rectangular identities go further:
+    both sides stay (GaussIntWeyl, den) pairs, ``same_value`` decides
+    their residual on ints, and ``to_weyl`` runs only to render a nonzero
+    one.  It has what ``matrixops._laplace`` asks of an entry and a
+    minor: truth, ``_new`` and ``mul_into``.
     """
 
     __slots__ = ("gens", "terms")
@@ -393,6 +396,20 @@ class GaussIntWeyl:
     def __bool__(self):
         re, im = self.terms
         return bool(re or im)
+
+    def __len__(self):
+        """The number of terms of ``to_weyl(den)``, for any den."""
+        re, im = self.terms
+        return len(re) + sum(k not in re for k in im)
+
+    def same_value(self, den, other, oden):
+        """Whether self / den equals other / oden, decided on ints: each
+        part of one side is scaled by the other side's denominator over
+        their gcd, so over equal denominators the dicts are compared
+        as they are."""
+        g = gcd(den, oden)
+        return all(_times(a, oden // g) == _times(b, den // g)
+                   for a, b in zip(self.terms, other.terms))
 
     def _new(self, re):
         """A sibling with real part ``re`` and no imaginary part."""
@@ -434,6 +451,11 @@ class GaussIntWeyl:
             _apply(gens, re, pim, out_im, negate)
             _apply(gens, im, pim, out_re, not negate)
         return out
+
+
+def _times(part, m):
+    """The {key: int} dict ``part`` times the int m, itself if m is 1."""
+    return part if m == 1 else {k: v * m for k, v in part.items()}
 
 
 def complex_pair(gens, base):

@@ -113,6 +113,26 @@ MUTANTS = [
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(
+        "the pair comparison scales each side by its own denominator",
+        "nc_capelli/weyl.py",
+        "return all(_times(a, oden // g) == _times(b, den // g)",
+        "return all(_times(a, den // g) == _times(b, oden // g)",
+        ["tests/test_identities.py::TestPairResidual"], 120),
+    Mutant(
+        "the pair comparison skips the imaginary parts",
+        "nc_capelli/weyl.py",
+        "for a, b in zip(self.terms, other.terms))",
+        "for a, b in zip(self.terms[:1], other.terms[:1]))",
+        ["tests/test_identities.py::TestPairResidual"], 120),
+    Mutant(
+        "_cauchy_binet sums its groups without rescaling them to the "
+        "common denominator",
+        "nc_capelli/identities.py",
+        "GaussIntWeyl(gens, {0: den // d}, {})",
+        "GaussIntWeyl(gens, {0: 1}, {})",
+        ["tests/test_identities.py::test_cached_cauchy_binet_mixed_denominators"],
+        120),
+    Mutant(
         "max for lcm in gauss_int_coldet's column scale",
         "nc_capelli/matrixops.py",
         "scales = [lcm(*(c.d ",

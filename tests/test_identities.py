@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import swapalg, weyl
 from nc_capelli.identities import VerificationReport
 from nc_capelli.scalars import GaussianRational
+from nc_capelli.weyl import GaussIntWeyl
 
 
 class TestReport:
@@ -242,8 +245,10 @@ def test_cached_cauchy_binet_matches_literal_sum(shape, n, I, J):
     on Gaussian rationals, cold and then from a warm cache."""
     want = _literal_cauchy_binet(shape, n, I, J)
     assert want or shape == "antisymmetric"
-    assert idn._cauchy_binet(shape, n, I, J) == want
-    assert idn._cauchy_binet(shape, n, I, J) == want
+    G, den = idn._cauchy_binet(shape, n, I, J)
+    assert G.to_weyl(den) == want
+    G, den = idn._cauchy_binet(shape, n, I, J)
+    assert G.to_weyl(den) == want
 
 
 def test_cached_cauchy_binet_mixed_denominators(monkeypatch):
@@ -262,7 +267,8 @@ def test_cached_cauchy_binet_mixed_denominators(monkeypatch):
     monkeypatch.setattr(idn, "complex_weyl", scaled)
     for I, J in (((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2))):
         want = _literal_cauchy_binet("plain", 2, I, J)
-        assert idn._cauchy_binet("plain", 2, I, J) == want
+        G, den = idn._cauchy_binet("plain", 2, I, J)
+        assert G.to_weyl(den) == want
 
 
 class TestResidualReport:
@@ -299,6 +305,91 @@ class TestResidualReport:
         report = self._report(lhs, rhs)
         assert report.residualIsZero
         assert report.residualRendering == ""
+
+
+_X1 = weyl.GeneratorSet(["x"])
+_INT_PART = st.dictionaries(
+    st.builds(lambda v, u: _X1.key([v], [u]), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-6, 6).filter(bool), max_size=4)
+
+
+def _gint(re, im):
+    return GaussIntWeyl(_X1, re, im)
+
+
+def _scaled(G, m):
+    re, im = G.terms
+    return _gint({k: v * m for k, v in re.items()},
+                 {k: v * m for k, v in im.items()})
+
+
+@st.composite
+def _pair_sides(draw):
+    """Two (GaussIntWeyl, den) sides: unrelated, equal over different
+    denominators, or equal in the real part only."""
+    left = _gint(draw(_INT_PART), draw(_INT_PART))
+    den = draw(st.integers(1, 6))
+    how = draw(st.sampled_from(("unrelated", "scaled", "imaginary")))
+    if how == "unrelated":
+        right = _gint(draw(_INT_PART), draw(_INT_PART)), draw(st.integers(1, 6))
+    else:
+        m = draw(st.integers(1, 4))
+        scaled = _scaled(left, m)
+        if how == "imaginary":
+            scaled = _gint(scaled.terms[0], draw(_INT_PART))
+        right = scaled, den * m
+    sides = [(left, den), right]
+    if draw(st.booleans()):
+        sides.reverse()
+    return sides
+
+
+_G = _gint({_X1.key([1], [0]): 3, _X1.key([0], [1]): -2},
+           {_X1.key([1], [0]): 1, 0: 5})
+# name: (left, right, whether they are equal)
+_PAIR_CASES = {
+    "G*2 over 2d against G over d": ((_scaled(_G, 2), 6), (_G, 3), True),
+    "only the imaginary parts differ": (
+        (_G, 3), (_gint(_scaled(_G, 2).terms[0], {0: 10}), 6), False),
+    "only the imaginary parts differ, equal denominators": (
+        (_G, 3), (_gint(_G.terms[0], {0: 5}), 3), False),
+    "empty real parts": ((_gint({}, {0: 2}), 4), (_gint({}, {0: 1}), 2), True),
+    "empty real parts, unequal": (
+        (_gint({}, {0: 2}), 4), (_gint({}, {0: 1}), 4), False),
+    "empty imaginary parts": (
+        (_gint({0: 2}, {}), 4), (_gint({0: 1}, {}), 2), True),
+    "empty imaginary parts, unequal keys": (
+        (_gint({0: 2}, {}), 4), (_gint({1: 1}, {}), 2), False),
+    "zero against nonzero": ((_gint({}, {}), 1), (_gint({0: 1}, {}), 2), False),
+}
+
+
+def _check_pair_report(left, right):
+    """residual_report on two pairs agrees with their to_weyl forms."""
+    (gl, dl), (gr, dr) = left, right
+    wl, wr = gl.to_weyl(dl), gr.to_weyl(dr)
+    report = idn.residual_report("t", "r", {}, left, right, 0.0)
+    assert gl.same_value(dl, gr, dr) == (wl == wr)
+    assert report.residualIsZero == (wl == wr)
+    assert report.residualRendering == ("" if wl == wr else (wl - wr).render())
+    assert report.lhsTermCount == len(gl) == len(wl.terms)
+    assert report.rhsTermCount == len(gr) == len(wr.terms)
+    return report
+
+
+class TestPairResidual:
+    """residual_report on (GaussIntWeyl, den) pairs decides the residual
+    on ints, as to_weyl equality would."""
+
+    @pytest.mark.parametrize("case", sorted(_PAIR_CASES))
+    def test_case(self, case):
+        left, right, equal = _PAIR_CASES[case]
+        assert _check_pair_report(left, right).residualIsZero == equal
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pair_sides())
+    def test_matches_to_weyl(self, sides):
+        _check_pair_report(*sides)
 
 
 class TestCss:

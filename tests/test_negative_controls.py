@@ -2,6 +2,8 @@
 for the duration of the call, each identity below is false, and its
 verifier must report a nonzero residual."""
 
+import hashlib
+
 import pytest
 
 from nc_capelli import cayley
@@ -40,6 +42,10 @@ def _degree_plus_one(real):
 
 def _quaternion_degree_plus_one(real):
     return lambda kind, n: real(kind, n + 1)
+
+
+def _without_first(real):
+    return lambda n, r: real(n, r)[1:]
 
 
 def _of_transpose(real):
@@ -102,6 +108,7 @@ PERTURBATIONS = {
     "_wedge_sign = 1": (swapalg, "_wedge_sign", _sign_one),
     "derivative scaled by 2": (weyl.WeylElement, "derivative", _twice),
     "psi_i^2 = 1": (swapalg.ExteriorElement, "__mul__", _squares_to_one),
+    "first 2r-subset left out": (mo, "multi_indexes", _without_first),
 }
 
 # (perturbation, verifier id and instance, verification)
@@ -206,6 +213,43 @@ def test_rect_rhs_missing_subset_fails(monkeypatch, kind, warm):
     verify = lambda: idn.verify_rectangular(kind, 2, (1,), (1,))
     if warm:
         assert verify().residualIsZero
-    real = mo.multi_indexes
-    monkeypatch.setattr(mo, "multi_indexes", lambda n, r: real(n, r)[1:])
+    module, name, replacement = PERTURBATIONS["first 2r-subset left out"]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
     assert not verify().residualIsZero
+
+
+# (kind, perturbation): lhsTermCount, rhsTermCount and the SHA-256 of the
+# residualRendering of the perturbed rect.<kind> at n = 3, I = J = (1, 2),
+# the size of the benchmark's rectangular sweeps.
+RECT_N3 = {
+    ("capelli", "capelli_shifts + 1"): (
+        5773, 4224,
+        "4c628af9dd0425002c50043cc5cc19d3bc75ed18a5ad9f04f96c68b11dce0b18"),
+    ("capelli", "first 2r-subset left out"): (
+        4224, 3968,
+        "e0dbf07f486ad436dbf0154fe0c4dbee0bfff9dfa7ad1f19a28b140502e898c4"),
+    ("turnbull", "capelli_shifts + 1"): (
+        4539, 3417,
+        "66a7aafe89fbef382ae2a6dc10ce93adf9ef3ebebeb7cc0822759c063c7b0858"),
+    ("turnbull", "first 2r-subset left out"): (
+        3417, 3248,
+        "28f1507b321ab8c32118d358548109f965f4a41db95d5f28f637a8045db3cb30"),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("kind, perturbation", sorted(RECT_N3))
+def test_rect_n3_perturbed_rendering(monkeypatch, kind, perturbation, warm):
+    """At n = 3, r = 2 each perturbed rectangular identity fails with the
+    same term counts and rendering, whether or not an unperturbed call
+    has already cached the instance and its minors."""
+    verify = lambda: idn.verify_rectangular(kind, 3, (1, 2), (1, 2))
+    if warm:
+        assert verify().residualIsZero
+    module, name, replacement = PERTURBATIONS[perturbation]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    report = verify()
+    assert not report.residualIsZero
+    digest = hashlib.sha256(report.residualRendering.encode()).hexdigest()
+    assert (report.lhsTermCount, report.rhsTermCount, digest) == \
+        RECT_N3[kind, perturbation]
