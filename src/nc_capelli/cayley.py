@@ -42,14 +42,18 @@ def _constant_of(w):
 
 def interpolate(points):
     """Exact Lagrange interpolation through [(s, value)] integer points,
-    each value a GaussianRational; returns a polynomial in s."""
+    each value a GaussianRational; returns a polynomial in s.  Each basis
+    prod (s - s_j), j != i, is scaled once, by v_i / prod (s_i - s_j)."""
+    factors = [_s_plus(-sj) for sj, _ in points]
     out = weyl.WeylElement.zero(_S)
     for i, (si, vi) in enumerate(points):
-        basis = weyl.WeylElement.one(_S).scale(vi)
+        basis = weyl.WeylElement.one(_S)
+        den = 1
         for j, (sj, _) in enumerate(points):
             if i != j:
-                basis = (basis * _s_plus(-sj)).scale(Fraction(1, si - sj))
-        out = out + basis
+                basis = basis * factors[j]
+                den *= si - sj
+        out = out + basis.scale(vi * GaussianRational(Fraction(1, den)))
     return out
 
 
@@ -67,11 +71,11 @@ def _quotient(kind, n, s_values):
     s_values; (Z, D) is the n-th pair of ``kind``: classical,
     decomplexified, complexForm or realForm.
 
-    Both determinants are built once, as ``matrixops.gauss_int_coldet``
-    pairs (G, den) on Gaussian integers.  ``power`` = (den_z det Z)^s is
-    carried from ``prev``, its value at s - 1, by one product per s, and
-    det D acts on it on int dicts; the result over den_d den_z, divided
-    by ``prev``, is the quotient, which exact_divide proves constant."""
+    Both determinants are built once on Gaussian integers
+    (``matrixops.gauss_int_coldet``).  ``power`` = det(Z)^s is carried
+    from ``prev``, its value at s - 1, by one product per s, and det D
+    acts on it on int dicts; that action divided by ``prev`` is the
+    quotient, which exact_divide proves constant."""
     if kind in ("classical", "decomplexified"):
         _, _, Z, D = (classical_weyl if kind == "classical" else complex_weyl)(n)
     elif kind in ("complexForm", "realForm"):
@@ -80,9 +84,7 @@ def _quotient(kind, n, s_values):
         raise ValueError(f"unknown kind {kind!r}")
     if kind in ("decomplexified", "realForm"):
         Z, D = mo.decomplexify(Z), mo.decomplexify(D)
-    det_d, den_d = mo.gauss_int_coldet(D)
-    det_z, den_z = mo.gauss_int_coldet(Z)
-    gens = det_z.gens
+    det_d, det_z = mo.gauss_int_coldet(D), mo.gauss_int_coldet(Z)
     power = det_z._new({0: 1})
     s = 0
     values = []
@@ -90,12 +92,10 @@ def _quotient(kind, n, s_values):
         if target <= s:
             raise ValueError("s must be a positive integer, increasing")
         while s < target:
-            prev, power = power, weyl.GaussIntWeyl(
-                gens, *det_z.mul_into(power, ({}, {})))
+            prev, power = power, det_z * power
             s += 1
-        applied = weyl.GaussIntWeyl(gens, *det_d.apply_into(power, ({}, {})))
         values.append(_constant_of(weyl.exact_divide(
-            applied.to_weyl(den_d * den_z), prev.to_weyl(1))))
+            det_d.apply(power).to_weyl(), prev.to_weyl())))
     return values
 
 

@@ -49,19 +49,10 @@ def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
     residual's alone.  t0 is the time.monotonic() at which the check
     began.
 
-    The sides are ring elements, or both (GaussIntWeyl, den) pairs, each
-    standing for G / den (``matrixops.gauss_int_coldet``).  Pairs are
-    compared on ints (``GaussIntWeyl.same_value``) and converted with
-    ``to_weyl`` only when they differ, to render the residual."""
-    if isinstance(lhs, tuple):
-        (gl, dl), (gr, dr) = lhs, rhs
-        counts = len(gl), len(gr)
-        same = gl.same_value(dl, gr, dr)
-        if not same:
-            lhs, rhs = gl.to_weyl(dl), gr.to_weyl(dr)
-    else:
-        counts = len(lhs.terms), len(rhs.terms)
-        same = lhs == rhs
+    The sides, of one engine, are subtracted only when ``==`` finds them
+    unequal, so two ``weyl.GaussIntWeyl`` sides are compared on ints and
+    build Gaussian rationals only to render a nonzero residual."""
+    same = lhs == rhs
     residual = None if same else lhs - rhs
     zero = residual is None or residual.is_zero()
     return VerificationReport(
@@ -70,8 +61,8 @@ def residual_report(name, ring_name, size, lhs, rhs, t0, conditional=False,
         sizeParams=size,
         residualIsZero=zero and holds,
         residualRendering="" if zero else residual.render(),
-        lhsTermCount=counts[0],
-        rhsTermCount=counts[1],
+        lhsTermCount=len(lhs),
+        rhsTermCount=len(rhs),
         wallMillis=int((time.monotonic() - t0) * 1000),
         conditional=conditional,
         notes=notes,
@@ -468,11 +459,10 @@ def _rect_instance(shape, n):
 
 def _cauchy_binet(shape, n, I, J):
     """Sum over 2r-subsets L of coldet(Z^R_{dI,L}) coldet((D^t)^R_{L,dJ}),
-    as one (GaussIntWeyl, den) pair standing for G / den.  The minors are
-    cached as mo.gauss_int_coldet's pairs (a, da) and (b, db), and the
-    products a*b summed in one group per da*db; den is the lcm of those
-    products, and each other group is rescaled to it on ints as it is
-    added to the sum."""
+    as one GaussIntWeyl.  The minors are cached as mo.gauss_int_coldet
+    returns them, and the numerators of the products a*b summed in one
+    group per a.den*b.den; the sum lies over the lcm of those, and each
+    other group is rescaled to it on ints as it is added."""
     _, _, ZR, DtR, minors = _rect_instance(shape, n)
 
     def minor(M, rows, cols):  # M, ZR or DtR, lives as long as minors
@@ -484,14 +474,15 @@ def _cauchy_binet(shape, n, I, J):
     dI, dJ = mo.double_index(I), mo.double_index(J)
     groups = {}
     for L in mo.multi_indexes(2 * n, 2 * len(I)):
-        (a, da), (b, db) = minor(ZR, dI, L), minor(DtR, L, dJ)
-        a.mul_into(b, groups.setdefault(da * db, a._new({})).terms)
+        a, b = minor(ZR, dI, L), minor(DtR, L, dJ)
+        a.mul_into(b, groups.setdefault(a.den * b.den, ({}, {})))
     gens = ZR.ring.one.gens
     den = lcm(*groups)
-    total = groups.pop(den, None) or weyl.GaussIntWeyl(gens, {}, {})
+    total = weyl.GaussIntWeyl(gens, *groups.pop(den, ({}, {})), den)
     for d, g in groups.items():  # total += (den // d) * g, key 0 the unit
-        weyl.GaussIntWeyl(gens, {0: den // d}, {}).mul_into(g, total.terms)
-    return total, den
+        weyl.GaussIntWeyl(gens, {0: den // d}, {}).mul_into(
+            weyl.GaussIntWeyl(gens, *g), total.terms)
+    return total
 
 
 def verify_thm_theor1(n):

@@ -94,22 +94,22 @@ def coldet(M):
     one = M.ring.one
     if not isinstance(one, WeylElement):
         return _laplace(M, one, type(one).mul_into)
-    det, den = gauss_int_coldet(M)
-    return det.to_weyl(den)
+    return gauss_int_coldet(M).to_weyl()
 
 
 def gauss_int_coldet(M):
-    """(G, den), G a GaussIntWeyl, with coldet(M) = G / den for a Weyl
-    matrix M: column j is scaled by the lcm D_j of its values'
-    denominators into GaussIntWeyl form, and den is the product of the
-    D_j (see _laplace)."""
+    """coldet(M) as a GaussIntWeyl, for a Weyl matrix M: column j is
+    scaled by the lcm D_j of its values' denominators into Gaussian
+    integers, and the determinant of the scaled matrix lies over the
+    product of the D_j (see _laplace)."""
     scales = [lcm(*(c.d for row in M.entries for c in row[j].terms.values()))
               for j in range(M.cols)]
     scaled = RingMatrix(M.ring, [
         [GaussIntWeyl.from_weyl(e, D) for e, D in zip(row, scales)]
         for row in M.entries])
     unit = GaussIntWeyl(M.ring.one.gens, {0: 1}, {})
-    return _laplace(scaled, unit, GaussIntWeyl.mul_into), prod(scales)
+    det = _laplace(scaled, unit, GaussIntWeyl.mul_into)
+    return GaussIntWeyl(det.gens, *det.terms, prod(scales))
 
 
 # perfbench/spans.py traces this name; it is coldet itself.

@@ -25,14 +25,17 @@ class GaussianRational:
 
     The form is canonical: ``d > 0`` and ``gcd(p, q, d) == 1``, so ``==``
     and ``hash`` compare the fields.  ``GaussianRational(re, im)`` takes
-    an int, a ``Fraction`` or ``'p/q'`` text for each part; ``re`` and
-    ``im`` read the parts back as ``Fraction``s.  Zero is false, and
-    ``*`` also takes an int factor, on either side.
+    an int, a ``Fraction`` or ``'p/q'`` text for each part, and raises
+    TypeError for a float, which is not exact; ``re`` and ``im`` read
+    the parts back as ``Fraction``s.  Zero is false, and ``*`` also
+    takes an int factor, on either side.
     """
 
     __slots__ = ("p", "q", "d")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError(f"a float is not an exact value: {re!r}, {im!r}")
         re, im = Fraction(re), Fraction(im)
         # both parts are in lowest terms, so over their lcm the triple is
         self.d = d = lcm(re.denominator, im.denominator)
@@ -179,7 +182,7 @@ class SparseElement:
     """Shared arithmetic of the sparse sums: a dict ``terms`` from a
     hashable monomial to a nonzero value, with one ``+``, ``-``, unary
     ``-``, ``scale``, ``**``, ``is_zero`` (and truth: zero is false),
-    ``render`` and ``__repr__``.
+    ``len`` (the number of terms), ``render`` and ``__repr__``.
 
     ``WeylElement``, ``SwapElement`` with its PBW subclass
     ``PbwElement`` (values ``GaussianRational``), and
@@ -280,6 +283,9 @@ class SparseElement:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
 
     def render(self):
         if not self.terms:

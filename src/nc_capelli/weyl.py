@@ -24,6 +24,7 @@ when ((b | guard) - a) & guard == guard, since no field then borrows.
 
 from __future__ import annotations
 
+from functools import partialmethod
 from math import gcd, perm
 
 from .ringapi import Ring
@@ -352,30 +353,26 @@ def _d_power(gens, terms, a, xshift):
 
 
 class GaussIntWeyl:
-    """A Weyl element scaled into Z[i]: its real and imaginary parts as
-    two {key: int} dicts, the pair ``terms``.
-
-    ``matrixops.coldet`` expands every Weyl matrix in this form
-    (``matrixops.gauss_int_coldet``), and the Cayley sweeps carry the
-    powers det(X)^s and apply det(d) to them in it, so the kernel adds
-    and multiplies Python ints and builds one GaussianRational per result
-    term at the end (``to_weyl``).  The rectangular identities go further:
-    both sides stay (GaussIntWeyl, den) pairs, ``same_value`` decides
-    their residual on ints, and ``to_weyl`` runs only to render a nonzero
-    one.  It has what ``matrixops._laplace`` asks of an entry and a
-    minor: truth, ``_new`` and ``mul_into``.
+    """The Weyl element (re + i*im) / den: Gaussian-integer numerators,
+    the {key: int} dicts of the pair ``terms``, over one int ``den``, as
+    in FLINT's ``fmpq_poly``.  ``matrixops.coldet`` expands every Weyl
+    matrix in this form, the Cayley sweeps carry det(X)^s and apply
+    det(d) in it, and the rectangular identities decide their residual
+    by ``==`` in it, on ints; ``to_weyl`` builds the GaussianRationals.
+    For ``matrixops._laplace``, ``mul_into`` adds numerators alone.
     """
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens", "terms", "den")
 
-    def __init__(self, gens, re, im):
+    def __init__(self, gens, re, im, den=1):
         self.gens = gens
         self.terms = (re, im)
+        self.den = den
 
     @staticmethod
     def from_weyl(w, scale):
-        """w times the int ``scale``, a multiple of every denominator
-        of w's values."""
+        """w over the int denominator ``scale``, a multiple of every
+        denominator of w's values."""
         re, im = {}, {}
         for k, c in w.terms.items():
             m = scale // c.d
@@ -383,11 +380,12 @@ class GaussIntWeyl:
                 re[k] = c.p * m
             if c.q:
                 im[k] = c.q * m
-        return GaussIntWeyl(w.gens, re, im)
+        return GaussIntWeyl(w.gens, re, im, scale)
 
-    def to_weyl(self, den):
-        """The WeylElement self / den."""
+    def to_weyl(self):
+        """The WeylElement that self stands for."""
         re, im = self.terms
+        den = self.den
         terms = {k: _make(p, im.get(k, 0), den) for k, p in re.items()}
         terms.update((k, _make(0, q, den)) for k, q in im.items()
                      if k not in re)
@@ -398,59 +396,63 @@ class GaussIntWeyl:
         return bool(re or im)
 
     def __len__(self):
-        """The number of terms of ``to_weyl(den)``, for any den."""
+        """The number of terms of ``to_weyl()``."""
         re, im = self.terms
         return len(re) + sum(k not in re for k in im)
 
-    def same_value(self, den, other, oden):
-        """Whether self / den equals other / oden, decided on ints: each
-        part of one side is scaled by the other side's denominator over
-        their gcd, so over equal denominators the dicts are compared
-        as they are."""
+    def __eq__(self, other):
+        """Decided on ints: each part of one side is scaled by the other
+        side's denominator over their gcd."""
+        if not isinstance(other, GaussIntWeyl):
+            return NotImplemented
+        den, oden = self.den, other.den
         g = gcd(den, oden)
-        return all(_times(a, oden // g) == _times(b, den // g)
-                   for a, b in zip(self.terms, other.terms))
+        return self.gens == other.gens and all(
+            _times(a, oden // g) == _times(b, den // g)
+            for a, b in zip(self.terms, other.terms))
+
+    def __sub__(self, other):
+        """The WeylElement self - other (it renders a nonzero residual)."""
+        if not isinstance(other, GaussIntWeyl):
+            return NotImplemented
+        return self.to_weyl() - other.to_weyl()
+
+    def __mul__(self, other):
+        if not isinstance(other, GaussIntWeyl):
+            return NotImplemented
+        return GaussIntWeyl(self.gens, *self.mul_into(other, ({}, {})),
+                            self.den * other.den)
+
+    def apply(self, p):
+        """Act as a differential operator on the polynomial p."""
+        return GaussIntWeyl(self.gens, *self.apply_into(p, ({}, {})),
+                            self.den * p.den)
 
     def _new(self, re):
-        """A sibling with real part ``re`` and no imaginary part."""
+        """A sibling over 1 with real part ``re`` and no imaginary part."""
         return GaussIntWeyl(self.gens, re, {})
 
-    def mul_into(self, other, out, negate=False):
-        """Add self*other, negated if ``negate``, into the pair of dicts
-        ``out``: re*re - im*im into the real part, re*im + im*re into
-        the imaginary part, skipping an empty part; returns out."""
+    def _table(self, kernel, right, out, negate=False):
+        """Add the numerator of self*right (``mul_into``, ``kernel``
+        _mul_kernel) or of self acting on the polynomial right
+        (``apply_into``, _apply), negated if ``negate``, into the dict
+        pair ``out``: re*re - im*im and re*im + im*re.  Only an empty
+        part of ``right`` is skipped, so _apply checks every term of its
+        target; returns out."""
         gens = self.gens
         re, im = self.terms
-        ore, oim = other.terms
+        rre, rim = right.terms
         out_re, out_im = out
-        if re:
-            if ore:
-                _mul_kernel(gens, re, ore, out_re, negate)
-            if oim:
-                _mul_kernel(gens, re, oim, out_im, negate)
-        if im:
-            if oim:
-                _mul_kernel(gens, im, oim, out_re, not negate)
-            if ore:
-                _mul_kernel(gens, im, ore, out_im, negate)
+        if rre:
+            kernel(gens, re, rre, out_re, negate)
+            kernel(gens, im, rre, out_im, negate)
+        if rim:
+            kernel(gens, re, rim, out_im, negate)
+            kernel(gens, im, rim, out_re, not negate)
         return out
 
-    def apply_into(self, p, out, negate=False):
-        """Add self acting on the polynomial p, negated if ``negate``,
-        into the pair of dicts ``out``, by the four products of mul_into
-        (see _apply).  Only an empty part of p is skipped, so every term
-        of p is checked to have no derivative; returns out."""
-        gens = self.gens
-        re, im = self.terms
-        pre, pim = p.terms
-        out_re, out_im = out
-        if pre:
-            _apply(gens, re, pre, out_re, negate)
-            _apply(gens, im, pre, out_im, negate)
-        if pim:
-            _apply(gens, re, pim, out_im, negate)
-            _apply(gens, im, pim, out_re, not negate)
-        return out
+    mul_into = partialmethod(_table, _mul_kernel)
+    apply_into = partialmethod(_table, _apply)
 
 
 def _times(part, m):

@@ -54,21 +54,23 @@ MUTANTS = [
         "",
         ["tests/test_weyl.py::test_falling_factorial_action"], 120),
     Mutant(
-        "the integer apply's im*im call is not negated",
+        "the Gaussian table's im*im product is not negated (integer apply)",
         "nc_capelli/weyl.py",
-        "_apply(gens, im, pim, out_re, not negate)",
-        "_apply(gens, im, pim, out_re, negate)",
+        "kernel(gens, im, rim, out_re, not negate)",
+        "kernel(gens, im, rim, out_re, negate)",
         ["tests/test_weyl.py::test_gauss_int_apply_matches_generic"], 120),
     Mutant(
         "the power chain does not advance",
         "nc_capelli/cayley.py",
-        """\
-            prev, power = power, weyl.GaussIntWeyl(
-                gens, *det_z.mul_into(power, ({}, {})))
-""",
-        """\
-            prev = power
-""",
+        "prev, power = power, det_z * power",
+        "prev = power",
+        ["tests/test_cayley.py::test_sweep_matches_direct_computation"],
+        120),
+    Mutant(
+        "GaussIntWeyl.apply drops the operator's denominator",
+        "nc_capelli/weyl.py",
+        "self.den * p.den)",
+        "p.den)",
         ["tests/test_cayley.py::test_sweep_matches_direct_computation"],
         120),
     Mutant(
@@ -99,27 +101,29 @@ MUTANTS = [
         ["tests/test_negative_controls.py::test_failed_precondition_fails"],
         120),
     Mutant(
-        "re*re not negated at odd rows in GaussIntWeyl.mul_into",
+        "the Gaussian table's re*re product not negated at odd rows "
+        "(integer coldet)",
         "nc_capelli/weyl.py",
-        "_mul_kernel(gens, re, ore, out_re, negate)",
-        "_mul_kernel(gens, re, ore, out_re)",
+        "kernel(gens, re, rre, out_re, negate)",
+        "kernel(gens, re, rre, out_re)",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(
-        "im*im added to the real part instead of subtracted",
+        "the Gaussian table's im*im product added to the real part "
+        "instead of subtracted (integer coldet)",
         "nc_capelli/weyl.py",
-        "_mul_kernel(gens, im, oim, out_re, not negate)",
-        "_mul_kernel(gens, im, oim, out_re, negate)",
+        "kernel(gens, im, rim, out_re, not negate)",
+        "kernel(gens, im, rim, out_re, negate)",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(
-        "the pair comparison scales each side by its own denominator",
+        "GaussIntWeyl.__eq__ scales each side by its own denominator",
         "nc_capelli/weyl.py",
-        "return all(_times(a, oden // g) == _times(b, den // g)",
-        "return all(_times(a, den // g) == _times(b, oden // g)",
+        "_times(a, oden // g) == _times(b, den // g)",
+        "_times(a, den // g) == _times(b, oden // g)",
         ["tests/test_identities.py::TestPairResidual"], 120),
     Mutant(
-        "the pair comparison skips the imaginary parts",
+        "GaussIntWeyl.__eq__ skips the imaginary parts",
         "nc_capelli/weyl.py",
         "for a, b in zip(self.terms, other.terms))",
         "for a, b in zip(self.terms[:1], other.terms[:1]))",
@@ -128,8 +132,8 @@ MUTANTS = [
         "_cauchy_binet sums its groups without rescaling them to the "
         "common denominator",
         "nc_capelli/identities.py",
-        "GaussIntWeyl(gens, {0: den // d}, {})",
-        "GaussIntWeyl(gens, {0: 1}, {})",
+        "{0: den // d}, {}).mul_into(",
+        "{0: 1}, {}).mul_into(",
         ["tests/test_identities.py::test_cached_cauchy_binet_mixed_denominators"],
         120),
     Mutant(
@@ -142,8 +146,8 @@ MUTANTS = [
     Mutant(
         "a column's scale dropped from gauss_int_coldet's divisor",
         "nc_capelli/matrixops.py",
-        "GaussIntWeyl.mul_into), prod(scales)",
-        "GaussIntWeyl.mul_into), prod(scales[1:])",
+        "*det.terms, prod(scales))",
+        "*det.terms, prod(scales[1:]))",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
     Mutant(

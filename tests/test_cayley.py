@@ -159,6 +159,23 @@ class TestInterpolation:
         pts = [(1, C(3)), (2, C(5))]
         assert cayley.interpolate(pts) == S.scale(2) + P(1)
 
+    def test_gaussian_values(self):
+        """A degree-4 polynomial with Gaussian coefficients, through five
+        points out of order (one negative), and through six, where the
+        extra point must not raise the degree."""
+        coeffs = [GaussianRational(Fraction(1, 3), -2), GaussianRational(0, 1),
+                  C(-5, 2), GaussianRational(Fraction(2, 7), Fraction(1, 4)),
+                  GaussianRational(1, -1)]
+        want = WeylElement.zero(S_GENS)
+        for k, c in enumerate(coeffs):
+            want = want + (S ** k).scale(c)
+
+        def at(s):
+            return sum((c * s ** k for k, c in enumerate(coeffs)), C(0))
+
+        for xs in ([3, -1, 0, 5, 2], [1, 2, 3, 4, 5, 6]):
+            assert cayley.interpolate([(s, at(s)) for s in xs]) == want
+
     def test_b_polynomial(self):
         assert cayley.b_polynomial(2) == S * S + S
 

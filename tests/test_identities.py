@@ -245,10 +245,8 @@ def test_cached_cauchy_binet_matches_literal_sum(shape, n, I, J):
     on Gaussian rationals, cold and then from a warm cache."""
     want = _literal_cauchy_binet(shape, n, I, J)
     assert want or shape == "antisymmetric"
-    G, den = idn._cauchy_binet(shape, n, I, J)
-    assert G.to_weyl(den) == want
-    G, den = idn._cauchy_binet(shape, n, I, J)
-    assert G.to_weyl(den) == want
+    assert idn._cauchy_binet(shape, n, I, J).to_weyl() == want
+    assert idn._cauchy_binet(shape, n, I, J).to_weyl() == want
 
 
 def test_cached_cauchy_binet_mixed_denominators(monkeypatch):
@@ -267,8 +265,7 @@ def test_cached_cauchy_binet_mixed_denominators(monkeypatch):
     monkeypatch.setattr(idn, "complex_weyl", scaled)
     for I, J in (((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2))):
         want = _literal_cauchy_binet("plain", 2, I, J)
-        G, den = idn._cauchy_binet("plain", 2, I, J)
-        assert G.to_weyl(den) == want
+        assert idn._cauchy_binet("plain", 2, I, J).to_weyl() == want
 
 
 class TestResidualReport:
@@ -313,73 +310,74 @@ _INT_PART = st.dictionaries(
     st.integers(-6, 6).filter(bool), max_size=4)
 
 
-def _gint(re, im):
-    return GaussIntWeyl(_X1, re, im)
+def _gint(re, im, den=1):
+    return GaussIntWeyl(_X1, re, im, den)
 
 
 def _scaled(G, m):
+    """G with numerators and denominator times m: the same value."""
     re, im = G.terms
     return _gint({k: v * m for k, v in re.items()},
-                 {k: v * m for k, v in im.items()})
+                 {k: v * m for k, v in im.items()}, G.den * m)
 
 
 @st.composite
 def _pair_sides(draw):
-    """Two (GaussIntWeyl, den) sides: unrelated, equal over different
+    """Two GaussIntWeyl sides: unrelated, equal over different
     denominators, or equal in the real part only."""
-    left = _gint(draw(_INT_PART), draw(_INT_PART))
-    den = draw(st.integers(1, 6))
+    left = _gint(draw(_INT_PART), draw(_INT_PART), draw(st.integers(1, 6)))
     how = draw(st.sampled_from(("unrelated", "scaled", "imaginary")))
     if how == "unrelated":
-        right = _gint(draw(_INT_PART), draw(_INT_PART)), draw(st.integers(1, 6))
+        right = _gint(draw(_INT_PART), draw(_INT_PART), draw(st.integers(1, 6)))
     else:
-        m = draw(st.integers(1, 4))
-        scaled = _scaled(left, m)
+        right = _scaled(left, draw(st.integers(1, 4)))
         if how == "imaginary":
-            scaled = _gint(scaled.terms[0], draw(_INT_PART))
-        right = scaled, den * m
-    sides = [(left, den), right]
+            right = _gint(right.terms[0], draw(_INT_PART), right.den)
+    sides = [left, right]
     if draw(st.booleans()):
         sides.reverse()
     return sides
 
 
 _G = _gint({_X1.key([1], [0]): 3, _X1.key([0], [1]): -2},
-           {_X1.key([1], [0]): 1, 0: 5})
+           {_X1.key([1], [0]): 1, 0: 5}, 3)
 # name: (left, right, whether they are equal)
 _PAIR_CASES = {
-    "G*2 over 2d against G over d": ((_scaled(_G, 2), 6), (_G, 3), True),
+    "G*2 over 2d against G over d": (_scaled(_G, 2), _G, True),
     "only the imaginary parts differ": (
-        (_G, 3), (_gint(_scaled(_G, 2).terms[0], {0: 10}), 6), False),
+        _G, _gint(_scaled(_G, 2).terms[0], {0: 10}, 6), False),
     "only the imaginary parts differ, equal denominators": (
-        (_G, 3), (_gint(_G.terms[0], {0: 5}), 3), False),
-    "empty real parts": ((_gint({}, {0: 2}), 4), (_gint({}, {0: 1}), 2), True),
+        _G, _gint(_G.terms[0], {0: 5}, 3), False),
+    "empty real parts": (_gint({}, {0: 2}, 4), _gint({}, {0: 1}, 2), True),
     "empty real parts, unequal": (
-        (_gint({}, {0: 2}), 4), (_gint({}, {0: 1}), 4), False),
+        _gint({}, {0: 2}, 4), _gint({}, {0: 1}, 4), False),
     "empty imaginary parts": (
-        (_gint({0: 2}, {}), 4), (_gint({0: 1}, {}), 2), True),
+        _gint({0: 2}, {}, 4), _gint({0: 1}, {}, 2), True),
     "empty imaginary parts, unequal keys": (
-        (_gint({0: 2}, {}), 4), (_gint({1: 1}, {}), 2), False),
-    "zero against nonzero": ((_gint({}, {}), 1), (_gint({0: 1}, {}), 2), False),
+        _gint({0: 2}, {}, 4), _gint({1: 1}, {}, 2), False),
+    "zero against nonzero": (_gint({}, {}), _gint({0: 1}, {}, 2), False),
 }
 
 
 def _check_pair_report(left, right):
-    """residual_report on two pairs agrees with their to_weyl forms."""
-    (gl, dl), (gr, dr) = left, right
-    wl, wr = gl.to_weyl(dl), gr.to_weyl(dr)
+    """==, len, - and residual_report on two GaussIntWeyl sides agree
+    with their to_weyl forms."""
+    wl, wr = left.to_weyl(), right.to_weyl()
     report = idn.residual_report("t", "r", {}, left, right, 0.0)
-    assert gl.same_value(dl, gr, dr) == (wl == wr)
+    assert (left == right) == (right == left) == (wl == wr)
+    assert (left != right) == (wl != wr)
+    assert left - right == wl - wr
     assert report.residualIsZero == (wl == wr)
     assert report.residualRendering == ("" if wl == wr else (wl - wr).render())
-    assert report.lhsTermCount == len(gl) == len(wl.terms)
-    assert report.rhsTermCount == len(gr) == len(wr.terms)
+    assert report.lhsTermCount == len(left) == len(wl.terms)
+    assert report.rhsTermCount == len(right) == len(wr.terms)
     return report
 
 
 class TestPairResidual:
-    """residual_report on (GaussIntWeyl, den) pairs decides the residual
-    on ints, as to_weyl equality would."""
+    """residual_report on two GaussIntWeyl sides, each over its own
+    denominator, decides the residual on ints, as to_weyl equality
+    would."""
 
     @pytest.mark.parametrize("case", sorted(_PAIR_CASES))
     def test_case(self, case):
@@ -390,6 +388,21 @@ class TestPairResidual:
     @given(_pair_sides())
     def test_matches_to_weyl(self, sides):
         _check_pair_report(*sides)
+
+    def test_mixed_forms_raise(self):
+        """A GaussIntWeyl against a WeylElement, even of the same value,
+        raises TypeError in either order and gives no verdict."""
+        w = _G.to_weyl()
+        for left, right in ((_G, w), (w, _G)):
+            assert left != right
+            with pytest.raises(TypeError):
+                idn.residual_report("t", "r", {}, left, right, 0.0)
+
+    def test_values_are_unhashable_and_keep_their_generators(self):
+        with pytest.raises(TypeError):
+            hash(_G)
+        re, im = _G.terms
+        assert GaussIntWeyl(weyl.GeneratorSet(["y"]), re, im, 3) != _G
 
 
 class TestCss:

@@ -184,6 +184,19 @@ def test_gauss_int_coldet_matches_generic(case):
     assert (got is OverflowError) == at_limit
 
 
+def test_gauss_int_coldet_denominator():
+    """gauss_int_coldet's value lies over the product of its columns'
+    lcms: 6 for a column 1/2, i/3 and 20 for a column 1/4, 1/5 + i/10,
+    though the determinant, 1/10 - i/30, lies over 30 once reduced."""
+    M, _ = _constants([[(Fraction(1, 2),), (Fraction(1, 4),)],
+                       [(0, Fraction(1, 3)),
+                        (Fraction(1, 5), Fraction(1, 10))]])
+    det = mo.gauss_int_coldet(M)
+    assert det.den == 6 * 20
+    assert det.to_weyl() == mo.coldet_permutations(M) == WeylElement.one(
+        _XY).scale(GaussianRational(Fraction(1, 10), Fraction(-1, 30)))
+
+
 class TestDecomplexify:
     def test_variable_block(self, wring):
         gens, ring = wring

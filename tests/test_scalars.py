@@ -60,6 +60,18 @@ class TestGaussianRational:
         a = GaussianRational(Fraction(2), Fraction(3))
         assert a.conjugate() == GaussianRational(Fraction(2), Fraction(-3))
 
+    def test_float_refused(self):
+        """A float is not exact: GaussianRational(0.1) would be
+        3602879701896397/36028797018963968.  Either part raises, and so
+        does scale, even by a float with an exact binary value."""
+        for args in ((0.1,), (0, 0.5), (2.0, 1), (Fraction(1, 2), -0.25)):
+            with pytest.raises(TypeError, match="float"):
+                GaussianRational(*args)
+        x = WeylElement.variable(GeneratorSet(["x"]), "x")
+        with pytest.raises(TypeError, match="float"):
+            x.scale(0.5)
+        assert x.scale(Fraction(1, 2)) == x.scale("1/2")
+
 
 # Small, mixed and large denominators, so that sums and products meet
 # both the same-denominator path and the cross-multiplied one.

@@ -372,20 +372,23 @@ def _apply_case(draw):
 
 
 def _scaled(w):
-    """(G, den): w as a GaussIntWeyl G over the lcm den of its value
-    denominators."""
+    """w as a GaussIntWeyl over the lcm of its value denominators."""
     den = lcm(1, *(c.d for c in w.terms.values()))
-    return weyl.GaussIntWeyl.from_weyl(w, den), den
+    return weyl.GaussIntWeyl.from_weyl(w, den)
 
 
 def _int_apply(op, p, negate=False, start=0):
     """op acting on p on Gaussian integers, negated if ``negate``, added
-    to the constant ``start``, back as a WeylElement."""
-    (g_op, d_op), (g_p, d_p) = _scaled(op), _scaled(p)
-    den = d_op * d_p
+    to the constant ``start``, back as a WeylElement: ``apply`` when
+    neither is asked for, else ``apply_into`` over the denominators'
+    product."""
+    g_op, g_p = _scaled(op), _scaled(p)
+    if not (negate or start):
+        return g_op.apply(g_p).to_weyl()
+    den = g_op.den * g_p.den
     out = g_op.apply_into(g_p, ({0: start * den} if start else {}, {}),
                           negate)
-    return weyl.GaussIntWeyl(op.gens, *out).to_weyl(den)
+    return weyl.GaussIntWeyl(op.gens, *out, den).to_weyl()
 
 
 _I_X = WeylElement(GeneratorSet(["x"]), {1: G_I})
@@ -403,6 +406,19 @@ def test_gauss_int_apply_matches_generic(case):
     assert _int_apply(op, p) == want
     assert _int_apply(op, p, negate, start=1) == \
         WeylElement.one(op.gens) + (-want if negate else want)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_gauss_int_product_matches_generic(data):
+    """GaussIntWeyl * GaussIntWeyl, over the product of the denominators,
+    equals the WeylElement product, and to_weyl inverts from_weyl."""
+    gens = GeneratorSet(_NAMES[:data.draw(st.integers(1, 3))])
+    a, b = (data.draw(_gauss_element(gens, False)) for _ in range(2))
+    assert _scaled(a).to_weyl() == a
+    got = _scaled(a) * _scaled(b)
+    assert got.den == _scaled(a).den * _scaled(b).den
+    assert got.to_weyl() == a * b
 
 
 def test_gauss_int_apply_limits(xy):
