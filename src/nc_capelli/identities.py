@@ -888,8 +888,9 @@ def verify_oracle_decomplexify():
     def trial(k):
         M, N = (_random_matrix(ring, lambda: _random_weyl(rng, gens), 1 + k % 2)
                 for _ in range(2))
-        return (is_zero(R(mo.matmul(M, N)) - mo.matmul(R(M), R(N)))
-                and is_zero(R(M + N) - (R(M) + R(N))))
+        RM, RN = R(M), R(N)
+        return (is_zero(R(mo.matmul(M, N)) - mo.matmul(RM, RN))
+                and is_zero(R(M + N) - (RM + RN)))
 
     return _oracle_report("oracle.decomplexify", ring.name, 100, trial, t0)
 

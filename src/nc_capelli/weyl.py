@@ -17,15 +17,23 @@ variables multiply by adding their keys; each Leibniz step at generator
 g (one at a time) subtracts (1 << B*g) + (1 << B*(g+n)).  The top bit of
 every field is a guard: an exponent above EXP_LIMIT = 2**(B-1) - 1
 raises OverflowError, from a key, a product, ``apply`` or ``**``, and
-never wraps into the next field.  The guard bits also test
-divisibility: every exponent of key a is at most that of key b exactly
-when ((b | guard) - a) & guard == guard, since no field then borrows.
+never wraps into the next field.  A product tests the guard once per
+left key k1, against the bitwise OR of the right keys: two fields of at
+most EXP_LIMIT add without a carry, and the OR bounds each field of
+every right key, so no guard bit in k1 + OR proves that no pair
+overflows.  The OR can pass every key (2**(B-2) | 2**(B-2) - 1 is
+EXP_LIMIT), so when a guard bit is set the pairs are tested one by one.
+A Leibniz step lowers two fields of a sum that passed, so it never
+overflows.  The guard bits also test divisibility: every exponent of
+key a is at most that of key b exactly when
+((b | guard) - a) & guard == guard, since no field then borrows.
 """
 
 from __future__ import annotations
 
-from functools import partialmethod
+from functools import reduce
 from math import gcd, perm
+from operator import or_
 
 from .ringapi import Ring
 from .scalars import G_HALF, G_I, G_ONE, SparseElement, _make
@@ -230,34 +238,67 @@ def _mul_kernel(gens, left, right, out, negate=False):
     higher order keeps one d_g of its highest field for that step and
     first applies the others to the right dict, one field at a time, in
     one binomial pass each (``_d_power``):
-    x^v d^u R = x^v d_g (d^(u-e_g) R).  A field whose x_g occurs in no
-    term of the running dict stays in the left key: there the d_g are a
-    plain key add.  Callers: ``WeylElement.__mul__``, ``_apply``,
-    ``exact_divide`` and ``GaussIntWeyl.mul_into``.
+    x^v d^u R = x^v d_g (d^(u-e_g) R).
+
+    Per left term the loop does only what its pairs need.  ``bound``,
+    the bitwise OR of the running right keys (``top`` of the right dict,
+    taken once per call, and retaken after each peel), bounds each field
+    of every right key, so:
+    - a field whose x_g occurs in no right term (its field of ``bound``
+      is 0) stays in the left key, where its d_g are a plain key add;
+    - the guard is tested once, on k1 + bound, and pair by pair only
+      when that test fires (see the module docstring);
+    - with no d_g left, or one whose x_g occurs in no right term, the
+      pairs are a plain shift-and-accumulate loop, a loop of its own so
+      that these pairs (half of a Gaussian-integer coldet's) skip the
+      mask test;
+    - otherwise one mask test per pair finds the right terms that carry
+      x_g, the only ones with a Leibniz step.
+    An empty left dict returns at once.  Callers: ``WeylElement.__mul__``,
+    ``_apply``, ``exact_divide`` and ``GaussIntWeyl.mul_into``.
     """
+    if not left:
+        return out
     dshift, guard = gens.dshift, gens.guard
     get = out.get
+    top = reduce(or_, right, 0)
     for k1, c1 in left.items():
         if negate:
             c1 = -c1
         u = k1 >> dshift
-        terms = right
+        terms, bound = right, top
         xshift = -1
         while u:
             xshift = (u & -u).bit_length() - 1
             xshift -= xshift % FIELD_BITS
-            step = (1 << xshift) | (1 << (xshift + dshift))
             a = (u >> xshift) & FIELD_MASK
             u -= a << xshift
             if not u:
                 a -= 1
-            if a and any((k >> xshift) & FIELD_MASK for k in terms):
+            if a and (bound >> xshift) & FIELD_MASK:
                 terms = _d_power(gens, terms, a, xshift)
+                bound = reduce(or_, terms, 0)
                 k1 -= a << (xshift + dshift)
+        if (k1 + bound) & guard and any((k1 + k2) & guard for k2 in terms):
+            _overflow()
+        if xshift < 0 or not (bound >> xshift) & FIELD_MASK:
+            for k2, c2 in terms.items():
+                key = k1 + k2
+                c = c1 * c2
+                cur = get(key)
+                if cur is None:
+                    out[key] = c
+                else:
+                    s = cur + c
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            continue
+        hit = FIELD_MASK << xshift
+        step = (1 << xshift) | (1 << (xshift + dshift))
         for k2, c2 in terms.items():
             key = k1 + k2
-            if key & guard:
-                _overflow()
             c = c1 * c2
             cur = get(key)
             if cur is None:
@@ -268,10 +309,8 @@ def _mul_kernel(gens, left, right, out, negate=False):
                     out[key] = s
                 else:
                     del out[key]
-            if xshift < 0:
-                continue
-            b = (k2 >> xshift) & FIELD_MASK
-            if b:
+            if k2 & hit:
+                b = (k2 >> xshift) & FIELD_MASK
                 key -= step
                 if b != 1:
                     c = c * b
@@ -350,6 +389,33 @@ def _d_power(gens, terms, a, xshift):
             factor = factor * (a - j) * (b - j) // (j + 1)
             key -= step
     return out
+
+
+def _table(kernel):
+    """The ``GaussIntWeyl`` method over ``kernel`` (_mul_kernel for
+    ``mul_into``, _apply for ``apply_into``), one plain function, so that
+    a call makes one Python frame before the kernel."""
+
+    def into(self, right, out, negate=False):
+        """Add the numerator of self*right (``mul_into``) or of self
+        acting on the polynomial right (``apply_into``), negated if
+        ``negate``, into the dict pair ``out``: re*re - im*im and
+        re*im + im*re.  Only an empty part of ``right`` is skipped, so
+        _apply checks every term of its target (_mul_kernel returns at
+        once on an empty left part); returns out."""
+        gens = self.gens
+        re, im = self.terms
+        rre, rim = right.terms
+        out_re, out_im = out
+        if rre:
+            kernel(gens, re, rre, out_re, negate)
+            kernel(gens, im, rre, out_im, negate)
+        if rim:
+            kernel(gens, re, rim, out_im, negate)
+            kernel(gens, im, rim, out_re, not negate)
+        return out
+
+    return into
 
 
 class GaussIntWeyl:
@@ -432,27 +498,8 @@ class GaussIntWeyl:
         """A sibling over 1 with real part ``re`` and no imaginary part."""
         return GaussIntWeyl(self.gens, re, {})
 
-    def _table(self, kernel, right, out, negate=False):
-        """Add the numerator of self*right (``mul_into``, ``kernel``
-        _mul_kernel) or of self acting on the polynomial right
-        (``apply_into``, _apply), negated if ``negate``, into the dict
-        pair ``out``: re*re - im*im and re*im + im*re.  Only an empty
-        part of ``right`` is skipped, so _apply checks every term of its
-        target; returns out."""
-        gens = self.gens
-        re, im = self.terms
-        rre, rim = right.terms
-        out_re, out_im = out
-        if rre:
-            kernel(gens, re, rre, out_re, negate)
-            kernel(gens, im, rre, out_im, negate)
-        if rim:
-            kernel(gens, re, rim, out_im, negate)
-            kernel(gens, im, rim, out_re, not negate)
-        return out
-
-    mul_into = partialmethod(_table, _mul_kernel)
-    apply_into = partialmethod(_table, _apply)
+    mul_into = _table(_mul_kernel)
+    apply_into = _table(_apply)
 
 
 def _times(part, m):

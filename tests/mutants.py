@@ -90,9 +90,48 @@ MUTANTS = [
     Mutant(
         "a field is peeled only where it meets no x_g",
         "nc_capelli/weyl.py",
-        "if a and any(",
-        "if a and not any(",
+        "if a and (bound >> xshift) & FIELD_MASK:",
+        "if a and not (bound >> xshift) & FIELD_MASK:",
         ["tests/test_weyl.py::test_packed_product_matches_reference"], 120),
+    Mutant(
+        "the pairs are not tested one by one when the OR bound fires",
+        "nc_capelli/weyl.py",
+        """\
+        if (k1 + bound) & guard and any((k1 + k2) & guard for k2 in terms):
+            _overflow()
+""",
+        "",
+        ["tests/test_weyl.py::TestFieldLimit::test_one_overflowing_pair_raises"],
+        120),
+    Mutant(
+        "the OR bound alone raises",
+        "nc_capelli/weyl.py",
+        " and any((k1 + k2) & guard for k2 in terms):",
+        ":",
+        ["tests/test_weyl.py::TestFieldLimit::"
+         "test_field_or_above_the_limit_is_not_an_overflow"], 120),
+    Mutant(
+        "the OR bound is not retaken after a peel",
+        "nc_capelli/weyl.py",
+        """\
+                bound = reduce(or_, terms, 0)
+""",
+        "",
+        ["tests/test_weyl.py::TestFieldLimit::test_peeled_product_at_the_limit"],
+        120),
+    Mutant(
+        "a hit mask of 0: no right term takes a Leibniz step",
+        "nc_capelli/weyl.py",
+        "hit = FIELD_MASK << xshift",
+        "hit = 0",
+        ["tests/test_weyl.py::TestNormalOrdering::test_canonical_commutation"],
+        120),
+    Mutant(
+        "the no-hit test inverted: the plain loop runs where x_g occurs",
+        "nc_capelli/weyl.py",
+        "if xshift < 0 or not (bound >> xshift) & FIELD_MASK:",
+        "if xshift < 0 or (bound >> xshift) & FIELD_MASK:",
+        ["tests/test_weyl.py::TestNormalOrdering::test_dx_x_squared"], 120),
     Mutant(
         "a report's residualIsZero ignores its preconditions",
         "nc_capelli/identities.py",

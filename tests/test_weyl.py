@@ -278,10 +278,12 @@ _BIG = st.integers(0, 3) | st.integers(EXP_LIMIT - 6, EXP_LIMIT - 3)
 
 @st.composite
 def _tuple_terms(draw, n, vexp=_SMALL, uexp=_SMALL, polynomial=False,
-                 values=st.sampled_from(_VALUES)):
+                 values=st.sampled_from(_VALUES), absent=()):
+    """Up to three terms; the generators in ``absent`` have x exponent 0
+    in every term."""
     out = {}
     for _ in range(draw(st.integers(0, 3))):
-        v = tuple(draw(vexp) for _ in range(n))
+        v = tuple(0 if g in absent else draw(vexp) for g in range(n))
         u = (0,) * n if polynomial else tuple(draw(uexp) for _ in range(n))
         out[v, u] = draw(values)
     return out
@@ -305,12 +307,17 @@ def test_packed_product_matches_reference(data, n, ints):
     meet in a Leibniz step, so the reference stays cheap.  Left d
     exponents go up to 3 in every generator.  With ``ints`` the values
     are plain ints, as ``GaussIntWeyl`` feeds the kernel, and the
-    results are compared as Gaussian rationals."""
+    results are compared as Gaussian rationals.  The right x exponents
+    are often 0, and x_g is left out of every right term for a drawn set
+    of generators g, so that a left d_g often meets no x_g (a plain key
+    add, with no Leibniz step) or meets it in only some right terms."""
     gens = GeneratorSet(_NAMES[:n])
     values = (st.sampled_from((1, -1, 2, -3)) if ints
               else st.sampled_from(_VALUES))
     left = data.draw(_tuple_terms(n, vexp=_BIG, values=values))
-    right = data.draw(_tuple_terms(n, uexp=_BIG, values=values))
+    absent = data.draw(st.sets(st.integers(0, n - 1)))
+    right = data.draw(_tuple_terms(n, vexp=st.sampled_from((0, 0, 1, 2, 3)),
+                                   uexp=_BIG, values=values, absent=absent))
 
     def element(terms):
         return WeylElement(gens, {k: GaussianRational(c) if ints else c
@@ -469,6 +476,40 @@ class TestFieldLimit:
                 a * b
         with pytest.raises(OverflowError):
             mo.coldet(mo.matrix(weyl.weyl_ring(xy), [[top, y], [y, x]]))
+
+    def test_field_or_above_the_limit_is_not_an_overflow(self, xy):
+        """x^h + x^(h-1), h = 2**(B-2): the OR of the two keys' fields is
+        EXP_LIMIT, so x times it sets the guard bit of the bound, yet
+        neither pair overflows."""
+        x, h = var(xy, "x"), (EXP_LIMIT + 1) // 2
+        power = {e: WeylElement(xy, {xy.key((e, 0), (0, 0)): G_ONE})
+                 for e in (h - 1, h, h + 1)}
+        assert x * (power[h] + power[h - 1]) == power[h + 1] + power[h]
+        dx = der(xy, "x")
+        assert (x * dx) * (power[h] + power[h - 1]) == \
+            (power[h + 1] + power[h]) * dx + power[h].scale(h) \
+            + power[h - 1].scale(h - 1)
+
+    def test_one_overflowing_pair_raises(self, xy, top):
+        """Only one pair of each product passes the limit."""
+        x, y, dx = var(xy, "x"), var(xy, "y"), der(xy, "x")
+        one = WeylElement.one(xy)
+        for a, b in ((x, y + one + top), (y + x, one + top),
+                     (x * dx, y + top), (y * dx + x, one + top)):
+            with pytest.raises(OverflowError):
+                a * b
+
+    def test_peeled_product_at_the_limit(self, xy):
+        """d_x^3 peels d_x^2 into x^2 d_x^e before its last d_x: at
+        e = EXP_LIMIT - 3 the product fits, above it the peeled key or
+        the last d_x passes the limit."""
+        left = {((0, 0), (3, 0)): G_ONE}
+        fits = {((2, 0), (EXP_LIMIT - 3, 0)): G_ONE}
+        assert _unpacked(_packed(xy, left) * _packed(xy, fits)) == \
+            _ref_mul(left, fits)
+        for e in (EXP_LIMIT - 2, EXP_LIMIT - 1):
+            with pytest.raises(OverflowError):
+                _packed(xy, left) * _packed(xy, {((2, 0), (e, 0)): G_ONE})
 
     def test_apply_past_the_limit(self, xy, top):
         x, dx = var(xy, "x"), der(xy, "x")
