@@ -272,10 +272,12 @@ def _main(argv):
     if args.command == "expand":
         try:
             element = expand(args.context, args.expression)
-        # RecursionError: nested too deep; OverflowError: an exponent
-        # past the Weyl field limit
-        except (ValueError, RecursionError, OverflowError) as e:
+        # RecursionError: nested too deep
+        except (ValueError, RecursionError) as e:
             print(f"parse error: {e}", file=sys.stderr)
+            return 2
+        except OverflowError as e:  # evaluation passed the Weyl field limit
+            print(f"error: {e}", file=sys.stderr)
             return 2
         try:
             text = element.render()

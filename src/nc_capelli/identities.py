@@ -242,17 +242,6 @@ def check_tcss(M, Y):
     return ok, h
 
 
-def _ext_commutator(h, x):
-    """[h, x] for a host element h and an exterior element x, acting on
-    the host coefficients."""
-    terms = {}
-    for mask, c in x.terms.items():
-        d = h * c - c * h
-        if not d.is_zero():
-            terms[mask] = d
-    return swapalg.ExteriorElement(x.alg, terms)
-
-
 def check_gcss(M, Y, Q):
     """GCSS: sum_l psi^M_l [Y_lj, psi^M_p] = psi^M_p psi^Q_j and
     psi^Q_j psi^M_p + psi^M_p psi^Q_j = 0, in the exterior layer."""
@@ -262,8 +251,9 @@ def check_gcss(M, Y, Q):
     psiQ = [swapalg.psi_M(alg, Q, k) for k in range(n)]
 
     def holds(j, p):
-        acc = sum((psiM[l] * _ext_commutator(Y.entries[l][j], psiM[p])
-                   for l in range(n)), alg.zero())
+        acc = sum((psiM[l] * commutator(alg.from_host(Y.entries[l][j]),
+                                        psiM[p]) for l in range(n)),
+                  alg.zero())
         return ((acc - psiM[p] * psiQ[j]).is_zero()
                 and (psiQ[j] * psiM[p] + psiM[p] * psiQ[j]).is_zero())
 
@@ -476,7 +466,7 @@ def _cauchy_binet(shape, n, I, J):
     for L in mo.multi_indexes(2 * n, 2 * len(I)):
         a, b = minor(ZR, dI, L), minor(DtR, L, dJ)
         a.mul_into(b, groups.setdefault(a.den * b.den, ({}, {})))
-    gens = ZR.ring.one.gens
+    gens = ZR.ring.one.parent
     den = lcm(*groups)
     total = weyl.GaussIntWeyl(gens, *groups.pop(den, ({}, {})), den)
     for d, g in groups.items():  # total += (den // d) * g, key 0 the unit
@@ -764,10 +754,10 @@ def verify_hc_image(n):
     half = GaussianRational(Fraction(n - 1, 2))
     shifted = E + shift_diag(ring, [s - half for s in capelli_shifts(n)])
     image = pbw.hc_projection(mo.coldet(shifted))
-    one = weyl.WeylElement.one(image.gens)
+    one = weyl.WeylElement.one(image.parent)
     expected = one
     for i in range(1, n + 1):
-        expected = expected * (weyl.WeylElement.variable(image.gens, f"lam{i}")
+        expected = expected * (weyl.WeylElement.variable(image.parent, f"lam{i}")
                                + one.scale(Fraction(n + 1 - 2 * i, 2)))
     return residual_report(
         "center.hc", ring.name, {"n": n}, image, expected, t0

@@ -107,7 +107,7 @@ def gauss_int_coldet(M):
     scaled = RingMatrix(M.ring, [
         [GaussIntWeyl.from_weyl(e, D) for e, D in zip(row, scales)]
         for row in M.entries])
-    unit = GaussIntWeyl(M.ring.one.gens, {0: 1}, {})
+    unit = GaussIntWeyl(M.ring.one.parent, {0: 1}, {})
     det = _laplace(scaled, unit, GaussIntWeyl.mul_into)
     return GaussIntWeyl(det.gens, *det.terms, prod(scales))
 

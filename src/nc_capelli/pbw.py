@@ -37,7 +37,7 @@ class PbwElement(SwapElement):
         """{e: the part of self of degree e in the letter ``name``, with
         that letter taken out of its words}.  For a central letter, which
         ends every word it occurs in, the rest of a word stays normal."""
-        g = self.table.index[name]
+        g = self.parent.index[name]
         out = {}
         for word, c in self.terms.items():
             rest = tuple(k for k in word if k != g)
@@ -45,7 +45,7 @@ class PbwElement(SwapElement):
         return {e: self._new(t) for e, t in out.items()}
 
     def _render_order(self):
-        n = len(self.table.letters)
+        n = len(self.parent.letters)
 
         def degree_and_exponents(word):
             exp = [0] * n
@@ -56,7 +56,7 @@ class PbwElement(SwapElement):
         return sorted(self.terms, key=degree_and_exponents, reverse=True)
 
     def _render_monomial(self, word):
-        basis = self.table.letters
+        basis = self.parent.letters
         return "*".join(basis[g] if e == 1 else f"{basis[g]}^{e}"
                         for g, e in _powers(word))
 
@@ -174,11 +174,11 @@ def hc_projection(x):
     with a lowering factor move off the highest-weight line).  For
     non-central x it is still the triangular projection.
     """
-    meta = x.table.gln_meta
+    meta = x.parent.gln_meta
     if not meta or "cartan" not in meta:
         raise TypeError("hc_projection needs a gl_n algebra")
     lowering, cartan, raising = meta["lowering"], meta["cartan"], meta["raising"]
-    basis, n = x.table.basis, meta["n"]
+    basis, n = x.parent.basis, meta["n"]
     central = [g for g in range(len(basis))
                if g not in lowering and g not in raising and g not in cartan]
     gens = weyl.GeneratorSet([f"lam{i}" for i in range(1, n + 1)]
@@ -198,8 +198,8 @@ def hc_projection(x):
 
 def is_central(x):
     """True iff [x, e] = 0 for every basis generator e."""
-    for name in x.table.basis:
-        g = x.table.generator(name)
+    for name in x.parent.basis:
+        g = x.parent.generator(name)
         if not (x * g - g * x).is_zero():
             return False
     return True

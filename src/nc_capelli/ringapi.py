@@ -11,11 +11,15 @@ elements that generic code (matrices, verifiers) needs, so matrix
 algorithms stay agnostic of the host.
 
 The element classes are sparse sums built on ``scalars.SparseElement``;
-its docstring lists what a subclass supplies.
+its docstring lists what a subclass supplies.  Each element holds its
+algebra as ``parent`` (a generator set, swap table or exterior
+algebra); the operands of ``+``, ``-``, ``*`` and ``apply`` share a
+parent, or the operation raises ``ValueError``.
 
 Equality of elements is decided *only* through canonical normal forms:
-``x == y`` exactly when ``(x - y).is_zero()``.  There is no randomized
-equality anywhere; every residual check is a proof-grade check.
+for x and y of one parent, ``x == y`` exactly when ``(x - y).is_zero()``.
+There is no randomized equality anywhere; every residual check is a
+proof-grade check.
 """
 
 from __future__ import annotations

@@ -161,6 +161,14 @@ G_INV_2I = GaussianRational(0, Fraction(-1, 2))
 G_I_QUARTER = GaussianRational(0, Fraction(1, 4))
 
 
+def require_same_parent(a, b):
+    """Raise ValueError unless the algebras a and b are one: ``is``
+    first, then ``==``, so two equal generator sets built apart pass,
+    while swap tables and exterior algebras compare by identity."""
+    if a is not b and a != b:
+        raise ValueError("elements of different algebras")
+
+
 def accumulate(out, items):
     """Add (key, value) pairs into the dict ``out``, never storing a zero
     value and dropping a key whose sum becomes zero; returns ``out``."""
@@ -180,39 +188,60 @@ def accumulate(out, items):
 
 class SparseElement:
     """Shared arithmetic of the sparse sums: a dict ``terms`` from a
-    hashable monomial to a nonzero value, with one ``+``, ``-``, unary
-    ``-``, ``scale``, ``**``, ``is_zero`` (and truth: zero is false),
-    ``len`` (the number of terms), ``render`` and ``__repr__``.
+    hashable monomial to a nonzero value, over ``parent``, the algebra
+    the element lives in (a ``weyl.GeneratorSet``, a
+    ``swapalg.SwapTable`` or a ``swapalg.ExteriorAlgebra``), with one
+    constructor ``(parent, terms)`` (it takes ownership of ``terms``),
+    ``==`` (same parent and the same terms), ``+``, ``-``, unary ``-``,
+    ``scale``, ``**``, ``is_zero`` (and truth: zero is false), ``len``
+    (the number of terms), ``render`` and ``__repr__``.
 
     ``WeylElement``, ``SwapElement`` with its PBW subclass
     ``PbwElement`` (values ``GaussianRational``), and
     ``ExteriorElement`` (values elements of its host ring) build on it.
     ``scale`` takes a ``GaussianRational`` or a rational, and ``+`` and
     ``-`` return NotImplemented for an operand without ``terms`` (so
-    ``x + 1`` raises TypeError).  A subclass must supply:
+    ``x + 1`` raises TypeError).  The operands of ``+``, ``-``, ``*``
+    and ``apply`` share a parent, or the operation raises ValueError
+    (see :func:`require_same_parent`).  A subclass must supply:
 
-    - ``_new(terms)``: a sibling over the same generators, basis, table
-      or algebra, holding ``terms`` (which it takes ownership of);
     - ``_one()``: the unit of its algebra;
     - ``__mul__`` (accumulating through :func:`accumulate`), which
       returns NotImplemented for an operand that is not an element of
-      its engine (so ``x * 1`` raises TypeError), and, where the algebra
-      has a conjugation, ``bar``;
-    - ``__eq__`` (and ``__hash__`` where elements are hashed);
+      its engine (so ``x * 1`` raises TypeError) and calls
+      :func:`require_same_parent`, and, where the algebra has a
+      conjugation, ``bar``;
+    - ``__hash__`` where elements are hashed;
     - ``_render_order()``: the monomials of ``terms`` in display order;
     - ``_render_monomial(mono)``: the text of one monomial, ``""`` for
       the unit monomial.
     """
 
-    __slots__ = ()
+    __slots__ = ("parent", "terms")
 
-    # ``+`` and ``-`` keep the loop inline: they are the most-called
-    # element operations, and one more call per use shows in the runs.
+    def __init__(self, parent, terms):
+        self.parent = parent
+        self.terms = terms
+
+    def _new(self, terms):
+        """A sibling over the same parent, holding ``terms``."""
+        return type(self)(self.parent, terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseElement)
+                and (self.parent is other.parent or self.parent == other.parent)
+                and self.terms == other.terms)
+
+    # ``+`` and ``-`` keep the loop, and the parent check's ``is`` test,
+    # inline: they are the most-called element operations, and one more
+    # call per use shows in the runs.
     def __add__(self, other):
         try:
             items = other.terms.items()
         except AttributeError:
             return NotImplemented
+        if other.parent is not self.parent:
+            require_same_parent(self.parent, other.parent)
         terms = dict(self.terms)
         for mono, c in items:
             cur = terms.get(mono)
@@ -231,6 +260,8 @@ class SparseElement:
             items = other.terms.items()
         except AttributeError:
             return NotImplemented
+        if other.parent is not self.parent:
+            require_same_parent(self.parent, other.parent)
         terms = dict(self.terms)
         for mono, c in items:
             cur = terms.get(mono)

@@ -32,6 +32,7 @@ from .scalars import (
     GaussianRational,
     SparseElement,
     accumulate,
+    require_same_parent,
 )
 
 
@@ -40,24 +41,19 @@ class NonConfluentTable(Exception):
 
 
 class SwapElement(SparseElement):
-    """Sparse sum of canonical words with GaussianRational values."""
+    """Sparse sum of canonical words with GaussianRational values; the
+    parent is the ``SwapTable``."""
 
-    __slots__ = ("table", "terms")
-
-    def __init__(self, table, terms):
-        self.table = table
-        self.terms = terms
-
-    def _new(self, terms):
-        return type(self)(self.table, terms)
+    __slots__ = ()
 
     def _one(self):
-        return self.table.one()
+        return self.parent.one()
 
     def __mul__(self, other):
         if not isinstance(other, SwapElement):
             return NotImplemented
-        normalize = self.table.normalize
+        require_same_parent(self.parent, other.parent)
+        normalize = self.parent.normalize
 
         def products():
             for w1, c1 in self.terms.items():
@@ -69,7 +65,7 @@ class SwapElement(SparseElement):
         return self._new(accumulate({}, products()))
 
     def bar(self):
-        table = self.table
+        table = self.parent
         if not table.bar_map:
             raise TypeError("algebra has no bar involution")
 
@@ -82,18 +78,11 @@ class SwapElement(SparseElement):
 
         return self._new(accumulate({}, images()))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SwapElement)
-            and self.table is other.table
-            and self.terms == other.terms
-        )
-
     def _render_order(self):
         return sorted(self.terms, key=lambda w: (len(w), w))
 
     def _render_monomial(self, word):
-        return self.table.render_word(word) if word else ""
+        return self.parent.render_word(word) if word else ""
 
 
 class SwapTable:
@@ -227,12 +216,12 @@ def bigrade_project(x, hol_degree, antihol_degree):
     antihol_degree barred letters."""
     want = (hol_degree, antihol_degree)
     return x._new({w: c for w, c in x.terms.items()
-                   if _bidegree(x.table, w) == want})
+                   if _bidegree(x.parent, w) == want})
 
 
 def bigrades(x):
     """Set of (hol, antihol) bidegrees present in x."""
-    return {_bidegree(x.table, w) for w in x.terms}
+    return {_bidegree(x.parent, w) for w in x.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +429,13 @@ class ExteriorAlgebra:
 
 
 class ExteriorElement(SparseElement):
-    __slots__ = ("alg", "terms")
+    """Sparse sum of psi masks with host-ring values; the parent is the
+    ``ExteriorAlgebra``."""
 
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    def _new(self, terms):
-        return ExteriorElement(self.alg, terms)
+    __slots__ = ()
 
     def _one(self):
-        return self.alg.one()
+        return self.parent.one()
 
     def scale(self, c):
         terms = {}
@@ -458,11 +443,12 @@ class ExteriorElement(SparseElement):
             p = h.scale(c)
             if not p.is_zero():
                 terms[mask] = p
-        return ExteriorElement(self.alg, terms)
+        return self._new(terms)
 
     def __mul__(self, other):
         if not isinstance(other, ExteriorElement):
             return NotImplemented
+        require_same_parent(self.parent, other.parent)
 
         def products():
             for m1, h1 in self.terms.items():
@@ -471,20 +457,13 @@ class ExteriorElement(SparseElement):
                         h = h1 * h2
                         yield m1 | m2, (h if _wedge_sign(m1, m2) > 0 else -h)
 
-        return ExteriorElement(self.alg, accumulate({}, products()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExteriorElement)
-            and self.alg is other.alg
-            and self.terms == other.terms
-        )
+        return self._new(accumulate({}, products()))
 
     def _render_order(self):
         return sorted(self.terms, key=lambda mask: (bin(mask).count("1"), mask))
 
     def _render_monomial(self, mask):
-        return "*".join(f"psi{i}" for i in range(self.alg.m) if mask >> i & 1)
+        return "*".join(f"psi{i}" for i in range(self.parent.m) if mask >> i & 1)
 
     def __repr__(self):
         bits = {m: h for m, h in self.terms.items()}

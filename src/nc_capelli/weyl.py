@@ -36,7 +36,8 @@ from math import gcd, perm
 from operator import or_
 
 from .ringapi import Ring
-from .scalars import G_HALF, G_I, G_ONE, SparseElement, _make
+from .scalars import (G_HALF, G_I, G_ONE, SparseElement, _make,
+                      require_same_parent)
 
 # Chosen by measurement: the rect n = 3 column determinants ran as fast
 # with 16-bit fields as with 8-bit ones, so the wider field is kept
@@ -114,13 +115,10 @@ class WeylElement(SparseElement):
     """Sparse normal-ordered sum: dict packed key -> nonzero
     GaussianRational value.  A central parameter is one more generator of
     the same name: no derivative of it ever occurs, so it commutes with
-    everything, and ``bar``, which acts on values, fixes it."""
+    everything, and ``bar``, which acts on values, fixes it.  The parent
+    is the ``GeneratorSet``."""
 
-    __slots__ = ("gens", "terms")
-
-    def __init__(self, gens, terms=None):
-        self.gens = gens
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     # --- constructors -------------------------------------------------
 
@@ -142,41 +140,27 @@ class WeylElement(SparseElement):
         return WeylElement(
             gens, {1 << (gens.dshift + FIELD_BITS * gens.index[name]): G_ONE})
 
-    def _new(self, terms):
-        return WeylElement(self.gens, terms)
-
     def _one(self):
-        return WeylElement.one(self.gens)
+        return WeylElement.one(self.parent)
 
     # --- ring ops -----------------------------------------------------
-
-    def _require_same(self, other):
-        if self.gens is not other.gens and self.gens != other.gens:
-            raise ValueError("elements from different generator sets")
 
     def bar(self):
         """Conjugation: generators are real, so bar acts on coefficients."""
         return WeylElement(
-            self.gens, {m: c.bar() for m, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.gens == other.gens
-            and self.terms == other.terms
+            self.parent, {m: c.bar() for m, c in self.terms.items()}
         )
 
     def __hash__(self):
-        return hash((self.gens, frozenset(self.terms.keys())))
+        return hash((self.parent, frozenset(self.terms.keys())))
 
     def __mul__(self, other):
         """Normal-ordered product (see _mul_kernel)."""
         if not isinstance(other, WeylElement):
             return NotImplemented
-        self._require_same(other)
-        return WeylElement(
-            self.gens, _mul_kernel(self.gens, self.terms, other.terms, {}))
+        gens = self.parent
+        require_same_parent(gens, other.parent)
+        return WeylElement(gens, _mul_kernel(gens, self.terms, other.terms, {}))
 
     def __pow__(self, n):
         """Raises OverflowError before it multiplies when the power of a
@@ -189,23 +173,23 @@ class WeylElement(SparseElement):
     # --- polynomial-specific operations ------------------------------
 
     def is_polynomial(self):
-        limit = 1 << self.gens.dshift
+        limit = 1 << self.parent.dshift
         return all(k < limit for k in self.terms)
 
     def apply(self, p):
         """Act as a differential operator on the polynomial p."""
-        return WeylElement(self.gens, self.apply_into(p, {}))
+        return WeylElement(self.parent, self.apply_into(p, {}))
 
     def apply_into(self, p, out, negate=False):
         """Add self acting on the polynomial p, negated if ``negate``,
         straight into the dict ``out`` (see _apply); returns out."""
-        self._require_same(p)
-        return _apply(self.gens, self.terms, p.terms, out, negate)
+        require_same_parent(self.parent, p.parent)
+        return _apply(self.parent, self.terms, p.terms, out, negate)
 
     # --- rendering ----------------------------------------------------
 
     def _render_order(self):
-        exponents = self.gens.exponents
+        exponents = self.parent.exponents
 
         def order(mono):
             v, u = exponents(mono)
@@ -214,8 +198,8 @@ class WeylElement(SparseElement):
         return sorted(self.terms, key=order, reverse=True)
 
     def _render_monomial(self, mono):
-        v, u = self.gens.exponents(mono)
-        names = self.gens.names
+        v, u = self.parent.exponents(mono)
+        names = self.parent.names
         factors = [name if e == 1 else f"{name}^{e}"
                    for name, e in zip(names, v) if e]
         factors += [f"d{name}" if e == 1 else f"d{name}^{e}"
@@ -446,7 +430,7 @@ class GaussIntWeyl:
                 re[k] = c.p * m
             if c.q:
                 im[k] = c.q * m
-        return GaussIntWeyl(w.gens, re, im, scale)
+        return GaussIntWeyl(w.parent, re, im, scale)
 
     def to_weyl(self):
         """The WeylElement that self stands for."""
@@ -486,11 +470,13 @@ class GaussIntWeyl:
     def __mul__(self, other):
         if not isinstance(other, GaussIntWeyl):
             return NotImplemented
+        require_same_parent(self.gens, other.gens)
         return GaussIntWeyl(self.gens, *self.mul_into(other, ({}, {})),
                             self.den * other.den)
 
     def apply(self, p):
         """Act as a differential operator on the polynomial p."""
+        require_same_parent(self.gens, p.gens)
         return GaussIntWeyl(self.gens, *self.apply_into(p, ({}, {})),
                             self.den * p.den)
 
@@ -532,10 +518,10 @@ def wick(p, momentum_map, target):
         raise ValueError("wick input must be a commutative polynomial")
     out = WeylElement.zero(target)
     for key, c in p.terms.items():
-        v = p.gens.exponents(key)[0]
+        v = p.parent.exponents(key)[0]
         var = [0] * target.n
         der = [0] * target.n
-        for name, e in zip(p.gens.names, v):
+        for name, e in zip(p.parent.names, v):
             if not e:
                 continue
             if name in momentum_map:
@@ -547,7 +533,8 @@ def wick(p, momentum_map, target):
 
 
 def exact_divide(p, q):
-    """Exact polynomial division p / q; raises NotDivisible otherwise.
+    """Exact polynomial division p / q; raises NotDivisible otherwise,
+    and ValueError for p and q over two generator sets.
 
     A parameter of q is a generator like any other, so the leading value
     of q is a nonzero Gaussian rational.  The leading term is the one with
@@ -559,9 +546,10 @@ def exact_divide(p, q):
     """
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("exact_divide works on polynomials")
+    require_same_parent(p.parent, q.parent)
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    gens, guard = p.gens, p.gens.guard
+    gens, guard = p.parent, p.parent.guard
     lq = max(q.terms)
     inv = q.terms[lq].inverse()
     quotient = {}

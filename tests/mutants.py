@@ -213,6 +213,44 @@ MUTANTS = [
 """,
         ["tests/test_swapalg.py", "tests/test_pbw.py"], 300),
     Mutant(
+        "the parent check dropped from SparseElement.__add__",
+        "nc_capelli/scalars.py",
+        """\
+    def __add__(self, other):
+        try:
+            items = other.terms.items()
+        except AttributeError:
+            return NotImplemented
+        if other.parent is not self.parent:
+            require_same_parent(self.parent, other.parent)
+""",
+        """\
+    def __add__(self, other):
+        try:
+            items = other.terms.items()
+        except AttributeError:
+            return NotImplemented
+""",
+        ["tests/test_ringapi.py::test_two_algebras_do_not_mix"], 120),
+    Mutant(
+        "the parent check by identity alone",
+        "nc_capelli/scalars.py",
+        "if a is not b and a != b:",
+        "if a is not b:",
+        ["tests/test_ringapi.py::test_equal_generator_sets_built_apart_mix"],
+        120),
+    Mutant(
+        "SwapElement.__mul__ without the parent check",
+        "nc_capelli/swapalg.py",
+        """\
+        require_same_parent(self.parent, other.parent)
+        normalize = self.parent.normalize
+""",
+        """\
+        normalize = self.parent.normalize
+""",
+        ["tests/test_ringapi.py::test_two_algebras_do_not_mix"], 120),
+    Mutant(
         "__pow__ without its odd-step product",
         "nc_capelli/scalars.py",
         """\

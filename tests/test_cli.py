@@ -58,15 +58,20 @@ class TestExpand:
         assert code == 2
         assert "parse error" in err
 
-    @pytest.mark.parametrize("text", ["x^99999999999", "(x*dx)^40000",
-                                      "x^30000 * x^30000"])
-    def test_exponent_past_limit_exit_2(self, capsys, text):
+    @pytest.mark.parametrize("text, prefix", [
+        pytest.param(text, prefix, id=text) for text, prefix in (
+            ("x^99999999999", "parse error: "),
+            ("(x*dx)^40000", "parse error: "),
+            ("x^30000 * x^30000", "error: Weyl exponent above 32767"),
+        )])
+    def test_exponent_past_limit_exit_2(self, capsys, text, prefix):
         """An exponent past the Weyl field limit fails at once (a power
-        raises before it multiplies) with one parse error line."""
+        raises before it multiplies) with one error line: a parse error
+        for a literal exponent, an evaluation error for a product."""
         code, out, err = run_cli(["expand", "--context", "weyl", text],
                                  capsys)
         assert code == 2 and not out
-        assert err.count("\n") == 1 and err.startswith("parse error: ")
+        assert err.count("\n") == 1 and err.startswith(prefix)
 
     @pytest.mark.parametrize("context, text", [
         ("gl2", "E12^99999999999"),

@@ -289,6 +289,15 @@ class TestResidualReport:
         assert report.residualIsZero
         assert report.residualRendering == ""
 
+    def test_sides_over_two_generator_sets_raise(self):
+        """x over (x, y) and y over (y, x) share a key; their residual is
+        not zero, it is refused."""
+        x = weyl.WeylElement.variable(weyl.GeneratorSet(["x", "y"]), "x")
+        y = weyl.WeylElement.variable(weyl.GeneratorSet(["y", "x"]), "y")
+        assert x.terms == y.terms
+        with pytest.raises(ValueError, match="different algebras"):
+            self._report(x, y)
+
     def test_constant_coefficient_equals_bare_value(self):
         """A parameter that cancels leaves the bare Gaussian rational of
         the constant, so the sides are equal."""

@@ -201,9 +201,9 @@ class TestDecomplexify:
     def test_variable_block(self, wring):
         gens, ring = wring
         z, dz = weyl.complex_pair(GeneratorSet(["x", "y"]), "")
-        x = WeylElement.variable(z.gens, "x")
-        y = WeylElement.variable(z.gens, "y")
-        ZR = mo.decomplexify(mo.matrix(weyl.weyl_ring(z.gens), [[z]]))
+        x = WeylElement.variable(z.parent, "x")
+        y = WeylElement.variable(z.parent, "y")
+        ZR = mo.decomplexify(mo.matrix(weyl.weyl_ring(z.parent), [[z]]))
         assert ZR.entries[0][0] == x
         assert ZR.entries[0][1] == y
         assert ZR.entries[1][0] == -y

@@ -64,7 +64,7 @@ def _squares_to_one(real):
     """The exterior product with psi_i^2 = 1 in place of 0: masks combine
     by XOR."""
     def mul(self, other):
-        return swapalg.ExteriorElement(self.alg, accumulate({}, (
+        return swapalg.ExteriorElement(self.parent, accumulate({}, (
             (m1 ^ m2, h1 * h2 if swapalg._wedge_sign(m1, m2) > 0 else -(h1 * h2))
             for m1, h1 in self.terms.items() for m2, h2 in other.terms.items())))
     return mul

@@ -169,3 +169,49 @@ def test_sum_with_a_scalar_is_a_type_error(x, scalar):
     assert x.__add__(scalar) is NotImplemented
     assert x.__sub__(scalar) is NotImplemented
     assert x.__mul__(scalar) is NotImplemented
+
+
+def _two_algebras():
+    """(a, b): elements of two algebras of one engine (two generator sets,
+    swap tables, gl_2 builds, exterior algebras), then a Weyl element and
+    a swap element."""
+    xy, y = GeneratorSet(["x", "y"]), GeneratorSet(["y"])
+    tables = psi_phi_table(), psi_phi_table()
+    specs = pbw.build_gln(2), pbw.build_gln(2)
+    host = weyl_ring(GENS)
+    exts = ExteriorAlgebra(2, host), ExteriorAlgebra(2, host)
+    return [
+        (WeylElement.variable(xy, "x"), WeylElement.variable(y, "y")),
+        (tables[0].letter("psi"), tables[1].letter("phi")),
+        (specs[0].generator("E12"), specs[1].generator("E21")),
+        (exts[0].psi(0), exts[1].psi(1)),
+        (WeylElement.variable(GENS, "x"), PSI_PHI.letter("psi")),
+    ]
+
+
+@pytest.mark.parametrize("a, b", _two_algebras(),
+                         ids=["weyl", "swap", "pbw", "exterior", "weyl-swap"])
+def test_two_algebras_do_not_mix(a, b):
+    """+, - and * of elements of two algebras raise ValueError, in either
+    order (a Weyl element times a swap element is a TypeError, as for
+    any operand of another engine)."""
+    ops = [operator.add, operator.sub]
+    if type(a) is type(b):
+        ops.append(operator.mul)
+    for op in ops:
+        with pytest.raises(ValueError, match="different algebras"):
+            op(a, b)
+        with pytest.raises(ValueError, match="different algebras"):
+            op(b, a)
+
+
+def test_equal_generator_sets_built_apart_mix():
+    """Two equal generator sets are one algebra: their elements add,
+    multiply and act as if built over one set."""
+    a, b = GeneratorSet(["x", "y"]), GeneratorSet(["x", "y"])
+    x, y = WeylElement.variable(a, "x"), WeylElement.variable(b, "y")
+    dx = WeylElement.derivative(b, "x")
+    assert (x + y).render() == "x + y"
+    assert (x - y).render() == "x - y"
+    assert (dx * x).render() == "x*dx + 1"
+    assert dx.apply(x * y) == y

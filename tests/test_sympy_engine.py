@@ -119,7 +119,7 @@ def _act(w, symbols, f):
     c x^v d^u takes f to c x^v (d^u f)."""
     out = sympy.Integer(0)
     for key, c in w.terms.items():
-        v, u = w.gens.exponents(key)
+        v, u = w.parent.exponents(key)
         out += (_value(c) * sympy.Mul(*(s ** e for s, e in zip(symbols, v)))
                 * _diff(f, symbols, u))
     return sympy.expand(out)
@@ -180,3 +180,43 @@ def test_hc_image_matches_sympy(n):
     assert sympy.expand(_hc_image(n, half) - expected) == 0
     if n >= 2:
         assert sympy.expand(_hc_image(n, G_ZERO) - expected) != 0
+
+
+def _act_coldet(rows, symbols, f):
+    """coldet of the matrix ``rows`` acting on f, with no product of two
+    entries: the Laplace recursion along the first column,
+    coldet(M) f = sum_i (-1)^i M_i1 (coldet(M without row i, column 1) f),
+    each entry acting by _act."""
+    if not rows:
+        return f
+    return sympy.expand(sum(
+        (-1) ** i * _act(row[0], symbols, _act_coldet(
+            [r[1:] for k, r in enumerate(rows) if k != i], symbols, f))
+        for i, row in enumerate(rows)))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("kind", ["plain", "symmetric"])
+def test_decomplexified_action_on_undefined_function(kind, sign):
+    """decomplex.square at n = 1, acting on an undefined f(x11, y11):
+    coldet(Z^R (D^t)^R + CorrTriDiag) f equals det(Z^R) (coldet((D^t)^R) f),
+    both column determinants acting entry by entry through _act_coldet.
+    The derivatives of f are independent over the polynomials, so equal
+    actions mean equal operators, and no entry needs a Leibniz step, so
+    neither side rests on the package's determinant, product or apply.
+    Negative control: the shift 1 in place of 0 changes the action."""
+    ring, gens, Z, D = idn.complex_weyl(1, kind)
+    symbols = sympy.symbols(gens.names)
+    f = sympy.Function("f")(*symbols)
+    Dt = mo.transpose(D)
+    rhs = _act_coldet(mo.decomplexify(Z).entries, symbols, _act_coldet(
+        mo.decomplexify(Dt).entries, symbols, f))
+    assert rhs != 0
+
+    def lhs(shift):
+        M = idn.corrected_matrix(mo.matmul(Z, Dt), mo.identity(ring, 1),
+                                 idn.embed(ring, [shift]), sign)
+        return _act_coldet(M.entries, symbols, f)
+
+    assert sympy.expand(lhs(G_ZERO) - rhs) == 0
+    assert sympy.expand(lhs(GaussianRational(1)) - rhs) != 0

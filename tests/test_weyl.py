@@ -196,6 +196,13 @@ class TestExactDivide:
         f = x * x - y + WeylElement.one(xy)
         assert weyl.exact_divide(f * q, q) == f
 
+    def test_divisor_over_another_generator_set(self, xy):
+        """y over (y, x) has the key of x over (x, y); dividing by it
+        raises rather than reading it in the dividend's layout."""
+        x = var(xy, "x")
+        with pytest.raises(ValueError, match="different algebras"):
+            weyl.exact_divide(x * x, var(GeneratorSet(["y", "x"]), "y"))
+
     def test_parameter_in_the_divisor(self):
         """A parameter is a generator, so x + d1*y divides like x + y."""
         gens = GeneratorSet(["x", "y", "d1"])
@@ -294,7 +301,7 @@ def _packed(gens, terms):
 
 
 def _unpacked(w):
-    return {w.gens.exponents(k): c for k, c in w.terms.items()}
+    return {w.parent.exponents(k): c for k, c in w.terms.items()}
 
 
 _NAMES = ["x", "y", "z"]
@@ -395,7 +402,7 @@ def _int_apply(op, p, negate=False, start=0):
     den = g_op.den * g_p.den
     out = g_op.apply_into(g_p, ({0: start * den} if start else {}, {}),
                           negate)
-    return weyl.GaussIntWeyl(op.gens, *out, den).to_weyl()
+    return weyl.GaussIntWeyl(op.parent, *out, den).to_weyl()
 
 
 _I_X = WeylElement(GeneratorSet(["x"]), {1: G_I})
@@ -412,7 +419,7 @@ def test_gauss_int_apply_matches_generic(case):
     want = op.apply(p)
     assert _int_apply(op, p) == want
     assert _int_apply(op, p, negate, start=1) == \
-        WeylElement.one(op.gens) + (-want if negate else want)
+        WeylElement.one(op.parent) + (-want if negate else want)
 
 
 @given(st.data())
@@ -426,6 +433,19 @@ def test_gauss_int_product_matches_generic(data):
     got = _scaled(a) * _scaled(b)
     assert got.den == _scaled(a).den * _scaled(b).den
     assert got.to_weyl() == a * b
+
+
+def test_gauss_int_refuses_another_generator_set(xy):
+    """* and apply of GaussIntWeyl values over two generator sets raise
+    ValueError; over equal sets built apart they run."""
+    a = _scaled(var(xy, "x"))
+    for gens in (GeneratorSet(["y", "x"]), GeneratorSet(["x"])):
+        b = _scaled(var(gens, "x"))
+        for op in (lambda: a * b, lambda: b * a, lambda: a.apply(b)):
+            with pytest.raises(ValueError, match="different algebras"):
+                op()
+    b = _scaled(var(GeneratorSet(["x", "y"]), "x"))
+    assert (a * b).to_weyl() == var(xy, "x") * var(xy, "x")
 
 
 def test_gauss_int_apply_limits(xy):
