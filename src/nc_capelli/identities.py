@@ -162,6 +162,10 @@ def gln_E_matrix(n, doubled=False, central=()):
     return spec, ring, E
 
 
+# the complex_weyl shape of each CSS kind at n >= 2
+CSS_SHAPES = {"css": "plain", "tcss": "symmetric"}
+
+
 def css_instance(kind, n):
     """CSS catalog entries: returns (ring, gens, M, Y, Q).
 
@@ -169,11 +173,8 @@ def css_instance(kind, n):
     tcss: the symmetric (Turnbull) pair, Q = h*Id with h = 1;
     css-n1: the degenerate n = 1 case with an arbitrary holomorphic Q.
     """
-    if kind == "css":
-        ring, gens, Z, D = complex_weyl(n, "plain")
-        return ring, gens, Z, mo.transpose(D), mo.identity(ring, n)
-    if kind == "tcss":
-        ring, gens, Z, D = complex_weyl(n, "symmetric")
+    if kind in CSS_SHAPES:
+        ring, gens, Z, D = complex_weyl(n, CSS_SHAPES[kind])
         return ring, gens, Z, mo.transpose(D), mo.identity(ring, n)
     if kind == "css-n1":
         gens = weyl.GeneratorSet(["x11", "y11"])
@@ -329,11 +330,12 @@ def _monomials(gens, max_degree):
             yield weyl.WeylElement(gens, {gens.key(exp, [0] * gens.n): G_ONE})
 
 
-def operator_action_oracle(lhs, rhs, gens):
-    """Apply both sides to every monomial of total degree <= 2 in the
-    commuting variables; True iff all actions agree."""
-    return all((lhs.apply(p) - rhs.apply(p)).is_zero()
-               for p in _monomials(gens, 2))
+def operator_action_oracle(lhs, rhs):
+    """Apply both sides, ``weyl.GaussIntWeyl`` values, to every monomial
+    of total degree <= 2 in the commuting variables; True iff all
+    actions agree, decided on ints."""
+    return all(lhs.apply(p) == rhs.apply(p) for p in (
+        weyl.GaussIntWeyl.from_weyl(m, 1) for m in _monomials(lhs.gens, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +346,13 @@ def verify_classical_capelli(kind, n):
     """coldet(Z D^t + diag(n-1,...,0)) = det(Z) det(D^t) in the Weyl
     algebra; kind selects plain / turnbull / huks."""
     t0 = time.monotonic()
-    shape = {"plain": "plain", "turnbull": "symmetric", "huks": "antisymmetric"}[kind]
+    shape = {"plain": "plain", "turnbull": "symmetric",
+             "huks": "antisymmetric"}.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown kind {kind!r}")
     if kind == "huks" and n % 2:
         raise ValueError("huks requires even n")
-    ring, gens, Z, D = classical_weyl(n, shape)
+    ring, _, Z, D = classical_weyl(n, shape)
     # In the antisymmetric case the second factor is the antisymmetric
     # derivative matrix itself (its transpose is its negative, which
     # breaks the identity; n even keeps the determinants equal).
@@ -355,8 +360,10 @@ def verify_classical_capelli(kind, n):
     lhs = mo.coldet(mo.matmul(Z, Dt) + shift_diag(ring, capelli_shifts(n)))
     rhs = mo.coldet(Z) * mo.coldet(Dt)
     notes = {}
-    if n <= 2:
-        notes["operator_oracle"] = operator_action_oracle(lhs, rhs, gens)
+    if n <= 2:  # the oracle takes the sides on ints
+        notes["operator_oracle"] = operator_action_oracle(*(
+            weyl.GaussIntWeyl.from_weyl(s, lcm(*(c.d for c in s.terms.values())))
+            for s in (lhs, rhs)))
     return residual_report(
         f"capelli.{kind}", ring.name, {"n": n}, lhs, rhs, t0, notes=notes
     )
@@ -382,7 +389,8 @@ def _alt_reading_residual_zero(ZR, alt, corr, gens):
 
 def verify_decomplexified_capelli(kind, n, sign="plus"):
     """Decomplexified square Capelli: coldet_2n(Z^R (D^t)^R + CorrTriDiag) =
-    coldet(Z^R) coldet((D^t)^R) over x_ij, y_ij.
+    coldet(Z^R) coldet((D^t)^R) over x_ij, y_ij, the sides of
+    _decomplexified_sides at I = J = 1..n.
 
     "(D^t)^R" is decomplexify(transpose(D)) — transpose first, then
     decomplexify (decomplexification is a homomorphism, which is what
@@ -393,58 +401,65 @@ def verify_decomplexified_capelli(kind, n, sign="plus"):
     t0 = time.monotonic()
     if kind == "antisymmetric" and n % 2:
         raise ValueError("antisymmetric requires even n")
-    ring, gens, Z, D = complex_weyl(n, kind)
-    Dt = D if kind == "antisymmetric" else mo.transpose(D)
-    shifts = embed(ring, capelli_shifts(n))
-    lhs = corrected_coldet(mo.matmul(Z, Dt), mo.identity(ring, n), shifts, sign)
-    ZR = mo.decomplexify(Z)
-    rhs = mo.coldet(ZR) * mo.coldet(mo.decomplexify(Dt))
+    full = tuple(range(1, n + 1))
+    ring, lhs, rhs = _decomplexified_sides(kind, n, full, full, sign)
+    _, D, _, ZR, _, _ = _capelli_instance(kind, n)
     notes = {"raw_transpose_residual_zero": _alt_reading_residual_zero(
         ZR, mo.transpose(mo.decomplexify(D)),
-        mo.corr_tridiag(ring, shifts, sign), gens)}
+        mo.corr_tridiag(ring, embed(ring, capelli_shifts(n)), sign), lhs.gens)}
     if n <= 2:
-        notes["operator_oracle"] = operator_action_oracle(lhs, rhs, gens)
+        notes["operator_oracle"] = operator_action_oracle(lhs, rhs)
     return residual_report(f"decomplex.square.{kind}", ring.name,
                            {"n": n, "sign": sign}, lhs, rhs, t0, notes=notes)
 
 
 def verify_rectangular(kind, n, I, J):
-    """Rectangular decomplexified Capelli / Turnbull: for multi-indexes
-    I, J of length r,
-    coldet_2r((Z D^t)^R_IJ + Q^R CorrTriDiag(r)) =
-    sum over 2r-subsets L of the 2n columns of
-    coldet(Z^R_{double(I), L}) * coldet((D^t)^R_{L, double(J)}),
-    with Q_ab = delta_{i_a j_b}.  The LHS submatrix is taken on the
-    complex matrix first, then decomplexified.  The antisymmetric kind
-    is conditional (evidence mode; no proof is known)."""
+    """Rectangular decomplexified Capelli / Turnbull: the sides of
+    _decomplexified_sides at multi-indexes I, J of length r, with the
+    correction sign plus.  The antisymmetric kind is conditional
+    (evidence mode; no proof is known)."""
     t0 = time.monotonic()
-    shape = {
-        "capelli": "plain",
-        "turnbull": "symmetric",
-        "antisym-conditional": "antisymmetric",
-    }[kind]
+    shape = {"capelli": "plain", "turnbull": "symmetric",
+             "antisym-conditional": "antisymmetric"}.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown kind {kind!r}")
     conditional = kind == "antisym-conditional"
     I, J = tuple(I), tuple(J)
-    r = len(I)
-    if len(J) != r or r > n:
-        raise ValueError("need |I| = |J| = r <= n")
-    ring, ZDt, *_ = _rect_instance(shape, n)
-    Q = mo.submatrix(mo.identity(ring, n), I, J)
-    lhs = mo.gauss_int_coldet(corrected_matrix(
-        mo.submatrix(ZDt, I, J), Q, embed(ring, capelli_shifts(r)), "plus"))
-    rhs = _cauchy_binet(shape, n, I, J)
+    ring, lhs, rhs = _decomplexified_sides(shape, n, I, J, "plus")
     return residual_report(
         f"rect.{'antisym' if conditional else kind}", ring.name,
-        {"n": n, "r": r, "I": list(I), "J": list(J), "sign": "plus"},
+        {"n": n, "r": len(I), "I": list(I), "J": list(J), "sign": "plus"},
         lhs, rhs, t0, conditional=conditional)
 
 
-@lru_cache(maxsize=4)  # both shapes of an n = 2 and an n = 3 sweep
-def _rect_instance(shape, n):
-    """(ring, Z D^t, Z^R, (D^t)^R, minors): what every (I, J) shares."""
+def _decomplexified_sides(shape, n, I, J, sign):
+    """(ring, lhs, rhs), ``weyl.GaussIntWeyl`` values, of the
+    decomplexified Capelli identity at rows I, columns J (length r) of
+    the cached (shape, n) instance, with Q_ab = delta_{i_a j_b}:
+    coldet_2r((Z D^t)_IJ^R + Q^R CorrTriDiag(r)) =
+    sum over 2r-subsets L of coldet(Z^R_{dI,L}) coldet((D^t)^R_{L,dJ}).
+    I = J = 1..n is the square case (one L).  The left side is built at
+    each call, so it reads capelli_shifts and corr_tridiag as they are."""
+    # 0 < k_1 < ... < k_r < n + 1 for K = I and K = J
+    if not I or len(J) != len(I) or not all(
+            a < b for K in (I, J) for a, b in zip((0, *K), (*K, n + 1))):
+        raise ValueError(f"need I, J strictly increasing in 1..{n}, of one length")
+    ring, _, ZDt, _, _, _ = _capelli_instance(shape, n)
+    Q = mo.submatrix(mo.identity(ring, n), I, J)
+    lhs = mo.gauss_int_coldet(corrected_matrix(
+        mo.submatrix(ZDt, I, J), Q, embed(ring, capelli_shifts(len(I))), sign))
+    return ring, lhs, _cauchy_binet(shape, n, I, J)
+
+
+@lru_cache(maxsize=9)  # three shapes at n <= 3; run --extended needs 7
+def _capelli_instance(shape, n):
+    """(ring, D, Z D^t, Z^R, (D^t)^R, minors): what every decomplexified
+    Capelli identity of one (shape, n) shares, both signs and every
+    (I, J) alike; minors is filled by _cauchy_binet."""
     ring, _, Z, D = complex_weyl(n, shape)
     Dt = D if shape == "antisymmetric" else mo.transpose(D)
-    return ring, mo.matmul(Z, Dt), mo.decomplexify(Z), mo.decomplexify(Dt), {}
+    return (ring, D, mo.matmul(Z, Dt), mo.decomplexify(Z),
+            mo.decomplexify(Dt), {})
 
 
 def _cauchy_binet(shape, n, I, J):
@@ -453,7 +468,7 @@ def _cauchy_binet(shape, n, I, J):
     returns them, and the numerators of the products a*b summed in one
     group per a.den*b.den; the sum lies over the lcm of those, and each
     other group is rescaled to it on ints as it is added."""
-    _, _, ZR, DtR, minors = _rect_instance(shape, n)
+    _, _, _, ZR, DtR, minors = _capelli_instance(shape, n)
 
     def minor(M, rows, cols):  # M, ZR or DtR, lives as long as minors
         if (M, rows, cols) not in minors:
@@ -655,13 +670,19 @@ def verify_local_factorization(sign="plus"):
 
 def verify_css_capelli(css_kind, n, sign="plus"):
     """Decomplexified CSS Capelli: coldet_2n(M^R Y^R + Q^R CorrTriDiag) =
-    coldet(M^R) coldet(Y^R); for n = 1 the degenerate case with an
-    arbitrary (unconstrained) Q."""
+    coldet(M^R) coldet(Y^R); at n >= 2 the sides of the square
+    decomplexified identity (plain for css, symmetric for tcss), for
+    n = 1 the degenerate case with an arbitrary (unconstrained) Q."""
     t0 = time.monotonic()
+    if css_kind not in CSS_SHAPES:
+        raise ValueError(f"unknown CSS kind {css_kind!r}")
     notes = {}
     if n == 1:
         ring, gens, M, Y, Q = css_instance("css-n1", 1)
         notes["preconditions"] = {"bar_commuting": check_bar_commuting(M, Y, Q)}
+        lhs = corrected_coldet(mo.matmul(M, Y), Q,
+                               embed(ring, capelli_shifts(n)), sign)
+        rhs = mo.coldet(mo.decomplexify(M)) * mo.coldet(mo.decomplexify(Y))
     else:
         ring, gens, M, Y, Q = css_instance(css_kind, n)
         if css_kind == "css":
@@ -677,9 +698,9 @@ def verify_css_capelli(css_kind, n, sign="plus"):
             "column_commuting_Y": check_column_commuting(Y),
             "bar_commuting": check_bar_commuting(M, Y, Q),
         }
-    lhs = corrected_coldet(mo.matmul(M, Y), Q,
-                           embed(ring, capelli_shifts(n)), sign)
-    rhs = mo.coldet(mo.decomplexify(M)) * mo.coldet(mo.decomplexify(Y))
+        full = tuple(range(1, n + 1))
+        _, lhs, rhs = _decomplexified_sides(
+            CSS_SHAPES[css_kind], n, full, full, sign)
     return residual_report(f"css.capelli.{css_kind if n > 1 else 'n1'}",
                            ring.name, {"n": n, "sign": sign}, lhs, rhs, t0,
                            notes=notes, holds=all(notes["preconditions"].values()))

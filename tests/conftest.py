@@ -6,11 +6,11 @@ from nc_capelli import identities
 
 
 @pytest.fixture(autouse=True)
-def _cold_rect_cache():
-    """Each test starts with no cached rectangular instance, so a helper
-    that a test patches (complex_weyl, decomplexify, coldet, ...) cannot
-    be bypassed by minors cached under the real one."""
-    identities._rect_instance.cache_clear()
+def _cold_instance_cache():
+    """Each test starts with no cached decomplexified Capelli instance,
+    so a helper that a test patches (complex_weyl, decomplexify, coldet,
+    ...) cannot be bypassed by minors cached under the real one."""
+    identities._capelli_instance.cache_clear()
 
 
 def pytest_collection_modifyitems(config, items):

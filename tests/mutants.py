@@ -176,6 +176,13 @@ MUTANTS = [
         ["tests/test_identities.py::test_cached_cauchy_binet_mixed_denominators"],
         120),
     Mutant(
+        "the operator-action oracle applies one side twice",
+        "nc_capelli/identities.py",
+        "return all(lhs.apply(p) == rhs.apply(p) for p in (",
+        "return all(lhs.apply(p) == lhs.apply(p) for p in (",
+        ["tests/test_negative_controls.py::test_operator_oracle_note_fails"],
+        120),
+    Mutant(
         "max for lcm in gauss_int_coldet's column scale",
         "nc_capelli/matrixops.py",
         "scales = [lcm(*(c.d ",

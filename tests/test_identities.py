@@ -149,6 +149,10 @@ class TestClassical:
         with pytest.raises(ValueError):
             idn.verify_classical_capelli("huks", 3)
 
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown kind 'foo'"):
+            idn.verify_classical_capelli("foo", 2)
+
 
 class TestDecomplexified:
     @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -182,6 +186,11 @@ class TestDecomplexified:
     def test_antisymmetric_rejects_odd(self):
         with pytest.raises(ValueError):
             idn.verify_decomplexified_capelli("antisymmetric", 3)
+
+    def test_n0_raises(self):
+        """I = J = () once reported a pass as 1 = 1."""
+        with pytest.raises(ValueError, match="strictly increasing in 1..0"):
+            idn.verify_decomplexified_capelli("plain", 0)
 
 
 class TestMainTheorem:
@@ -218,6 +227,43 @@ class TestRectangular:
         report = idn.verify_rectangular("antisym-conditional", 2, (1,), (1,))
         assert report.conditional
         assert report.residualIsZero
+
+    @pytest.mark.parametrize("I, J", [
+        ((), ()), ((1, 1), (1, 2)), ((2, 1), (1, 2)), ((1, 2), (2, 1)),
+        ((3,), (1,)), ((1,), (1, 2))],
+        ids=["empty", "repeated", "decreasing I", "decreasing J",
+             "out of range", "unequal lengths"])
+    def test_bad_multi_indexes_raise(self, I, J):
+        """Each of these once reported a pass (1 = 1, 0 = 0, or another
+        (I, J) under this label) or raised IndexError."""
+        with pytest.raises(ValueError, match="strictly increasing in 1..2"):
+            idn.verify_rectangular("capelli", 2, I, J)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown kind 'foo'"):
+            idn.verify_rectangular("foo", 2, (1,), (1,))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("shape, n", [
+    (shape, n) for shape in ("plain", "symmetric", "antisymmetric")
+    for n in (1, 2)])
+def test_decomplexified_sides_match_generic(shape, n, sign):
+    """The square case's Gaussian-integer sides, read from the cached
+    instance, equal corrected_coldet and coldet(Z^R) coldet((D^t)^R)
+    over a fresh instance, and the left side the generic Laplace
+    recursion on Gaussian rationals."""
+    full = tuple(range(1, n + 1))
+    ring, lhs, rhs = idn._decomplexified_sides(shape, n, full, full, sign)
+    _, _, Z, D = idn.complex_weyl(n, shape)
+    Dt = D if shape == "antisymmetric" else mo.transpose(D)
+    args = (mo.matmul(Z, Dt), mo.identity(ring, n),
+            idn.embed(ring, idn.capelli_shifts(n)), sign)
+    generic = mo._laplace(idn.corrected_matrix(*args), ring.one,
+                          weyl.WeylElement.mul_into)
+    assert lhs.to_weyl() == idn.corrected_coldet(*args) == generic
+    assert rhs.to_weyl() == \
+        mo.coldet(mo.decomplexify(Z)) * mo.coldet(mo.decomplexify(Dt))
 
 
 def _literal_cauchy_binet(shape, n, I, J):
@@ -419,6 +465,12 @@ class TestCss:
         report = idn.verify_css_capelli("css", 1)
         assert report.residualIsZero
         assert report.notes["preconditions"]["bar_commuting"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unknown_kind_raises(self, n):
+        """At n = 1 the kind was never read, and "foo" passed."""
+        with pytest.raises(ValueError, match="unknown CSS kind 'foo'"):
+            idn.verify_css_capelli("foo", n)
 
     def test_implications(self):
         report = idn.verify_implications(2)

@@ -176,10 +176,27 @@ CASES = [
     "perturbation, verify", [(p, v) for p, _, v in CASES],
     ids=[f"{p}: {case}" for p, case, _ in CASES])
 def test_perturbed_identity_fails(monkeypatch, perturbation, verify):
+    """The unperturbed call comes first, so a perturbed helper must bite
+    through a warm instance cache (the test starts with a cold one)."""
     module, name, replacement = PERTURBATIONS[perturbation]
     assert verify().residualIsZero
     monkeypatch.setattr(module, name, replacement(getattr(module, name)))
     assert not verify().residualIsZero
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: idn.verify_classical_capelli("plain", 2),
+    lambda: idn.verify_classical_capelli("turnbull", 2),
+    lambda: idn.verify_decomplexified_capelli("plain", 2)],
+    ids=["capelli.plain n=2", "capelli.turnbull n=2",
+         "decomplex.square.plain n=2"])
+def test_operator_oracle_note_fails(monkeypatch, verify):
+    """With the shifts off by one, the sides act differently on some
+    monomial of degree <= 2, so the operator_oracle note reads False."""
+    assert verify().notes["operator_oracle"] is True
+    module, name, replacement = PERTURBATIONS["capelli_shifts + 1"]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
+    assert verify().notes["operator_oracle"] is False
 
 
 # (checker of a precondition, verifier id and instance, verification)

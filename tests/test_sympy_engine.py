@@ -220,3 +220,26 @@ def test_decomplexified_action_on_undefined_function(kind, sign):
 
     assert sympy.expand(lhs(G_ZERO) - rhs) == 0
     assert sympy.expand(lhs(GaussianRational(1)) - rhs) != 0
+
+
+@pytest.mark.parametrize("kind, shape", [("plain", "plain"),
+                                         ("turnbull", "symmetric")],
+                         ids=["plain", "turnbull"])
+def test_classical_action_on_undefined_function(kind, shape):
+    """capelli.<kind> at n = 2, acting on an undefined f of every
+    variable: coldet(Z D^t + diag(1, 0)) f equals det(Z) (det(D^t) f),
+    each column determinant acting entry by entry through _act_coldet,
+    so neither side rests on the package's determinant or apply (an
+    entry of Z D^t is a sum of z d, which needs no Leibniz step).
+    Negative control: without the shifts the actions differ."""
+    ring, gens, Z, D = idn.classical_weyl(2, shape)
+    symbols = sympy.symbols(gens.names)
+    f = sympy.Function("f")(*symbols)
+    Dt = mo.transpose(D)
+    rhs = _act_coldet(Z.entries, symbols, _act_coldet(Dt.entries, symbols, f))
+    assert rhs != 0
+    ZDt = mo.matmul(Z, Dt)
+    lhs = _act_coldet(
+        (ZDt + idn.shift_diag(ring, idn.capelli_shifts(2))).entries, symbols, f)
+    assert sympy.expand(lhs - rhs) == 0
+    assert sympy.expand(_act_coldet(ZDt.entries, symbols, f) - rhs) != 0
