@@ -20,7 +20,8 @@ from itertools import product
 
 from . import matrixops as mo
 from . import weyl
-from .identities import bool_report, classical_weyl, complex_weyl, residual_report
+from .identities import (bool_report, classical_weyl, complex_weyl,
+                         require_size, residual_report)
 from .ringapi import commutator
 from .scalars import G_HALF, G_ZERO, GaussianRational
 
@@ -76,6 +77,7 @@ def _quotient(kind, n, s_values):
     from ``prev``, its value at s - 1, by one product per s, and det D
     acts on it on int dicts; that action divided by ``prev`` is the
     quotient, which exact_divide proves constant."""
+    require_size(n)
     if kind in ("classical", "decomplexified"):
         _, _, Z, D = (classical_weyl if kind == "classical" else complex_weyl)(n)
     elif kind in ("complexForm", "realForm"):
@@ -155,6 +157,7 @@ def quaternion_commutation_check(n):
     """[2 (D^C)^t_rs, Z^C_uv] = delta_ur delta_vs for all indices up to
     2n (operator-first commutator ordering)."""
     t0 = time.monotonic()
+    require_size(n)
     ring, Z, D = quaternion_pair(n)
     Dt = mo.transpose(D).entries
     ok = all(
@@ -205,6 +208,7 @@ def radial_identity(n, s):
       = s(s+1)...(s+n-1) (lam1...lamn)^(s-1),
     V the Vandermonde prod_{i<j}(lam_i - lam_j)."""
     t0 = time.monotonic()
+    require_size(n)
     if s < 1:
         raise ValueError("s must be a positive integer")
     names = [f"l{i}" for i in range(1, n + 1)]
@@ -273,12 +277,14 @@ def _sweep_report(name, kind, n, s_values, expected_poly, t0):
 
 def verify_cayley_scalar(n):
     t0 = time.monotonic()
+    require_size(n)
     return _sweep_report("cayley.scalar", "classical", n, range(1, n + 2),
                          b_polynomial(n), t0)
 
 
 def verify_cayley_decomplexified(n):
     t0 = time.monotonic()
+    require_size(n)
     b = b_polynomial(n)
     return _sweep_report("cayley.decomplexified", "decomplexified", n,
                          range(1, 2 * n + 2), b * b, t0)
@@ -286,6 +292,7 @@ def verify_cayley_decomplexified(n):
 
 def verify_cayley_quaternion(kind, n):
     t0 = time.monotonic()
+    require_size(n)
     degree = 2 * n if kind == "complexForm" else 4 * n
     return _sweep_report(f"cayley.quaternion.{kind}", kind, n,
                          range(1, degree + 2), quaternion_expected(kind, n), t0)

@@ -13,7 +13,7 @@ from math import lcm, prod
 from operator import add, sub
 
 from .ringapi import im_part, re_part
-from .scalars import G_I_QUARTER, G_QUARTER
+from .scalars import G_I_QUARTER, G_QUARTER, require_same_parent
 from .weyl import GaussIntWeyl, WeylElement
 
 
@@ -97,19 +97,24 @@ def coldet(M):
     return gauss_int_coldet(M).to_weyl()
 
 
-def gauss_int_coldet(M):
-    """coldet(M) as a GaussIntWeyl, for a Weyl matrix M: column j is
-    scaled by the lcm D_j of its values' denominators into Gaussian
-    integers, and the determinant of the scaled matrix lies over the
-    product of the D_j (see _laplace)."""
+def gauss_int_coldet(M, p=None):
+    """coldet(M) as a GaussIntWeyl, for a Weyl matrix M, or its action on
+    the GaussIntWeyl polynomial p, never expanded: column j is scaled by
+    the lcm D_j of its values' denominators into Gaussian integers, and
+    the result lies over the product of the D_j and p.den (see _laplace)."""
     scales = [lcm(*(c.d for row in M.entries for c in row[j].terms.values()))
               for j in range(M.cols)]
     scaled = RingMatrix(M.ring, [
         [GaussIntWeyl.from_weyl(e, D) for e, D in zip(row, scales)]
         for row in M.entries])
-    unit = GaussIntWeyl(M.ring.one.parent, {0: 1}, {})
-    det = _laplace(scaled, unit, GaussIntWeyl.mul_into)
-    return GaussIntWeyl(det.gens, *det.terms, prod(scales))
+    gens = M.ring.one.parent
+    if p is None:
+        p, act = GaussIntWeyl(gens, {0: 1}, {}), GaussIntWeyl.mul_into
+    else:
+        require_same_parent(gens, p.gens)
+        act = GaussIntWeyl.apply_into
+    det = _laplace(scaled, p, act)
+    return GaussIntWeyl(gens, *det.terms, prod(scales) * p.den)
 
 
 # perfbench/spans.py traces this name; it is coldet itself.
@@ -155,9 +160,10 @@ def _laplace(M, leaf, act):
     on the minor, negated at odd rows, into ``out``, the ``terms`` of a
     new minor ``leaf._new({})``.  Entries and minors are false when zero.
     With ``leaf`` the unit and ``act`` the element class's ``mul_into``
-    this is the column determinant; with a polynomial and
-    ``WeylElement.apply_into`` it is the determinant's action on that
-    polynomial.
+    this is the column determinant; with a ``GaussIntWeyl`` polynomial
+    and ``GaussIntWeyl.apply_into`` it is the determinant's action on
+    that polynomial, the entry of the first column acting last
+    (``gauss_int_coldet(M, p)``).
 
     The minors of one column are computed from those of the next and
     then replace them, so only two columns of minors are ever held.
@@ -172,7 +178,8 @@ def _laplace(M, leaf, act):
     product.  So coldet(M with column j times D_j) =
     D_j coldet(M), and with every column j scaled by the lcm D_j of its
     denominators, coldet(M) is the scaled determinant, computed exactly
-    in Z[i], divided by the product of the D_j.
+    in Z[i], divided by the product of the D_j.  Its action on p is
+    linear in p too, so a leaf p = P / p.den adds the factor p.den.
     """
     if M.rows != M.cols:
         raise ValueError("coldet requires a square matrix")

@@ -32,7 +32,7 @@ key a is at most that of key b exactly when
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, perm
+from math import gcd, lcm, perm
 from operator import or_
 
 from .ringapi import Ring
@@ -178,13 +178,9 @@ class WeylElement(SparseElement):
 
     def apply(self, p):
         """Act as a differential operator on the polynomial p."""
-        return WeylElement(self.parent, self.apply_into(p, {}))
-
-    def apply_into(self, p, out, negate=False):
-        """Add self acting on the polynomial p, negated if ``negate``,
-        straight into the dict ``out`` (see _apply); returns out."""
-        require_same_parent(self.parent, p.parent)
-        return _apply(self.parent, self.terms, p.terms, out, negate)
+        gens = self.parent
+        require_same_parent(gens, p.parent)
+        return WeylElement(gens, _apply(gens, self.terms, p.terms, {}))
 
     # --- rendering ----------------------------------------------------
 
@@ -318,7 +314,8 @@ def _apply(gens, op, p, out, negate=False):
     value multiplies), and the x^v values of that part times the
     derivative go through _mul_kernel, with no derivative on the left.
     A target with a derivative raises ValueError.  Callers:
-    ``WeylElement.apply_into`` and ``GaussIntWeyl.apply_into``."""
+    ``WeylElement.apply`` and ``GaussIntWeyl.apply_into`` (through which
+    ``matrixops.gauss_int_coldet(M, p)`` acts with a determinant)."""
     dshift, guard = gens.dshift, gens.guard
     limit = 1 << dshift
     if any(k >= limit for k in p):
@@ -405,11 +402,11 @@ def _table(kernel):
 class GaussIntWeyl:
     """The Weyl element (re + i*im) / den: Gaussian-integer numerators,
     the {key: int} dicts of the pair ``terms``, over one int ``den``, as
-    in FLINT's ``fmpq_poly``.  ``matrixops.coldet`` expands every Weyl
-    matrix in this form, the Cayley sweeps carry det(X)^s and apply
-    det(d) in it, and the rectangular identities decide their residual
-    by ``==`` in it, on ints; ``to_weyl`` builds the GaussianRationals.
-    For ``matrixops._laplace``, ``mul_into`` adds numerators alone.
+    in FLINT's ``fmpq_poly``.  ``matrixops.gauss_int_coldet`` expands or
+    acts with every Weyl determinant in this form, the Cayley sweeps carry
+    det(X)^s and apply det(d) in it, and every Weyl Capelli verdict and
+    note is decided by ``==`` in it, on ints; ``to_weyl`` builds Gaussian
+    rationals.  ``mul_into`` and ``apply_into`` serve ``matrixops._laplace``.
     """
 
     __slots__ = ("gens", "terms", "den")
@@ -420,9 +417,10 @@ class GaussIntWeyl:
         self.den = den
 
     @staticmethod
-    def from_weyl(w, scale):
+    def from_weyl(w, scale=None):
         """w over the int denominator ``scale``, a multiple of every
-        denominator of w's values."""
+        denominator of w's values; by default their lcm."""
+        scale = scale or lcm(*(c.d for c in w.terms.values()))
         re, im = {}, {}
         for k, c in w.terms.items():
             m = scale // c.d

@@ -178,8 +178,8 @@ MUTANTS = [
     Mutant(
         "the operator-action oracle applies one side twice",
         "nc_capelli/identities.py",
-        "return all(lhs.apply(p) == rhs.apply(p) for p in (",
-        "return all(lhs.apply(p) == lhs.apply(p) for p in (",
+        "return all(lhs.apply(p) == rhs.apply(p)",
+        "return all(lhs.apply(p) == lhs.apply(p)",
         ["tests/test_negative_controls.py::test_operator_oracle_note_fails"],
         120),
     Mutant(
@@ -192,10 +192,24 @@ MUTANTS = [
     Mutant(
         "a column's scale dropped from gauss_int_coldet's divisor",
         "nc_capelli/matrixops.py",
-        "*det.terms, prod(scales))",
-        "*det.terms, prod(scales[1:]))",
+        "*det.terms, prod(scales) * p.den)",
+        "*det.terms, prod(scales[1:]) * p.den)",
         ["tests/test_matrixops.py::test_gauss_int_coldet_matches_generic"],
         120),
+    Mutant(
+        "the unexpanded action drops its polynomial's denominator",
+        "nc_capelli/matrixops.py",
+        "prod(scales) * p.den)",
+        "prod(scales))",
+        ["tests/test_matrixops.py::test_gauss_int_coldet_action_matches_expanded"],
+        120),
+    Mutant(
+        "the determinant multiplies the polynomial instead of acting on it",
+        "nc_capelli/matrixops.py",
+        "act = GaussIntWeyl.apply_into",
+        "act = GaussIntWeyl.mul_into",
+        ["tests/test_identities.py::"
+         "test_classical_capelli_on_a_complete_witness_set"], 120),
     Mutant(
         "the letter-degree split leaves the central letter in the word",
         "nc_capelli/pbw.py",

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nc_capelli import cayley
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import swapalg, weyl
@@ -154,6 +157,51 @@ class TestClassical:
             idn.verify_classical_capelli("foo", 2)
 
 
+def _witnesses(M):
+    """The d-exponent vectors b of a complete witness set for coldet(M):
+    the d-parts occurring in each column of M, multiplied column by
+    column, closed downward."""
+    gens = M.ring.one.parent
+    columns = [{gens.exponents(k)[1] for row in M.entries for k in row[j].terms}
+               for j in range(M.cols)]
+    tops = {tuple(map(sum, zip(*us))) for us in product(*columns)}
+    return {b for top in tops for b in product(*(range(e + 1) for e in top))}
+
+
+@pytest.mark.parametrize("kind, shape, n, count", [
+    ("plain", "plain", 1, 2), ("plain", "plain", 2, 9),
+    ("plain", "plain", 3, 64), ("turnbull", "symmetric", 1, 2),
+    ("turnbull", "symmetric", 2, 8), ("turnbull", "symmetric", 3, 51),
+    ("huks", "antisymmetric", 2, 3)])
+def test_classical_capelli_on_a_complete_witness_set(kind, shape, n, count):
+    """capelli.<kind> proved by action, with the left determinant never
+    expanded (gauss_int_coldet(M, p)) and no product that takes a
+    Leibniz step.  A nonzero R = sum_u a_u(x) d^u, with u0 minimal among
+    its d-parts, sends x^u0 to u0! a_u0, which is not zero; so R = 0 iff
+    R kills x^b for every b of a downward-closed set that holds its
+    d-support (the Weyl algebra acts faithfully on polynomials).  Each
+    term of coldet(M) takes one entry from each column, and normal
+    ordering only lowers d-parts, so _witnesses(M) holds the d-support
+    of coldet(M), and that of det(Z) det(D^t), whose columns carry the
+    same d-parts.  Negative control at n >= 2: without the shifts a
+    witness tells the sides apart."""
+    ring, gens, Z, D = idn.classical_weyl(n, shape)
+    Dt = D if shape == "antisymmetric" else mo.transpose(D)
+    ZDt = mo.matmul(Z, Dt)
+    M = ZDt + idn.shift_diag(ring, idn.capelli_shifts(n))
+    witnesses = [GaussIntWeyl(gens, {gens.key(b, (0,) * gens.n): 1}, {})
+                 for b in sorted(_witnesses(M))]
+    assert len(witnesses) == count
+    zdet, ddet = mo.gauss_int_coldet(Z), mo.gauss_int_coldet(Dt)
+
+    def acts_alike(M):
+        return all(mo.gauss_int_coldet(M, p) == zdet * ddet.apply(p)
+                   for p in witnesses)
+
+    assert acts_alike(M)
+    assert acts_alike(ZDt) == (n == 1)
+
+
 class TestDecomplexified:
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_plain_n1(self, sign):
@@ -166,18 +214,28 @@ class TestDecomplexified:
     def test_alt_reading_full_expansion(self, monkeypatch, sign):
         """Given the true reading decomplexify(transpose(D)) in place of
         the raw transpose, the witness scan finds nothing and the full
-        expansion of the left-hand determinant proves a zero residual."""
+        expansion of the left-hand determinant proves a zero residual.
+        A gauss_int_coldet call without a polynomial is an expansion;
+        with one it is a scan step, the determinant acting unexpanded."""
         ring, gens, Z, D = idn.complex_weyl(1, "plain")
         ZR = mo.decomplexify(Z)
         DtR = mo.decomplexify(mo.transpose(D))
         corr = mo.corr_tridiag(ring, idn.embed(ring, idn.capelli_shifts(1)), sign)
-        expanded = []
-        coldet = mo.coldet
+        expanded, scanned = [], []
+        gauss_int_coldet = mo.gauss_int_coldet
+
+        def counted(M, p=None):
+            (expanded if p is None else scanned).append(M)
+            return gauss_int_coldet(M, p)
+
+        monkeypatch.setattr(mo, "gauss_int_coldet", counted)
         monkeypatch.setattr(
-            mo, "coldet", lambda M: expanded.append(M) or coldet(M))
+            mo, "coldet", lambda M: pytest.fail("the scan called coldet"))
         assert idn._alt_reading_residual_zero(ZR, DtR, corr, gens)
         # coldet(ZR), coldet(DtR), then the full expansion's coldet(lhs)
         assert len(expanded) == 3
+        # every monomial of degree <= 3 in x11, y11
+        assert len(scanned) == 10
 
     def test_symmetric_n2(self):
         assert idn.verify_decomplexified_capelli(
@@ -564,14 +622,72 @@ def _random_weyl_matrix(rng, gens, n):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_coldet_apply_matches_expanded_action(seed):
-    """The memoized action of coldet(M) equals the action of the
-    expanded determinant, on every monomial of degree <= 3."""
+    """The memoized action of coldet(M), gauss_int_coldet(M, p), equals
+    the action of the expanded determinant, on every monomial of degree
+    <= 3."""
     rng = random.Random(seed)
     gens = weyl.GeneratorSet(["x", "y"])
     M = _random_weyl_matrix(rng, gens, 2 + seed % 2)
     det = mo.coldet_permutations(M)
     assert mo.coldet(M) == det
-    actions = [(mo._laplace(M, p, weyl.WeylElement.apply_into), det.apply(p))
+    actions = [(mo.gauss_int_coldet(M, p).to_weyl(), det.apply(p.to_weyl()))
                for p in idn._monomials(gens, 3)]
     assert all(got == want for got, want in actions)
     assert any(not want.is_zero() for _, want in actions)
+
+
+_SIZED = {
+    "capelli.plain": partial(idn.verify_classical_capelli, "plain"),
+    "capelli.turnbull": partial(idn.verify_classical_capelli, "turnbull"),
+    "capelli.huks": partial(idn.verify_classical_capelli, "huks"),
+    "factorization.capelli": idn.verify_holfact_capelli,
+    "factorization.global-cancellation": idn.verify_holfact_general,
+    "factorization.weak": idn.verify_thm_theor1,
+    "factorization.main": idn.main_theorem_instances,
+    "center.capelli": idn.verify_capelli_center,
+    "center.hc": idn.verify_hc_image,
+    "cayley.scalar": cayley.verify_cayley_scalar,
+    "cayley.decomplexified": cayley.verify_cayley_decomplexified,
+    "cayley.quaternion.complexForm": partial(
+        cayley.verify_cayley_quaternion, "complexForm"),
+    "cayley.quaternion.realForm": partial(
+        cayley.verify_cayley_quaternion, "realForm"),
+    "cayley.radial": partial(cayley.radial_identity, s=1),
+    "cayley.quaternion-commutation": cayley.quaternion_commutation_check,
+    "css.implications": idn.verify_implications,
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in _SIZED for n in (0, -1)), ("center.capelli", -2),
+    ("css.implications", 1)])
+def test_sized_verifiers_refuse_n_below_one(name, n):
+    """Below its least size (1; 2 for css.implications) a sized verifier
+    raises ValueError: it would otherwise report 1 = 1, or an empty
+    product, as a proof (realForm as a failure)."""
+    least = 2 if name == "css.implications" else 1
+    with pytest.raises(ValueError, match=f"n must be at least {least}, got {n}"):
+        _SIZED[name](n)
+
+
+def test_capelli_sides_reach_the_report_on_ints(monkeypatch):
+    """Every capelli.*, decomplex.square.*, rect.* and css.capelli report
+    of run --max-n 3, both signs, hands GaussIntWeyl sides to
+    residual_report, so its verdict and its notes are decided on ints."""
+    sides = {}
+    real = idn.residual_report
+
+    def record(name, ring_name, size, lhs, rhs, *args, **kwargs):
+        sides.setdefault(name, set()).add((type(lhs), type(rhs)))
+        return real(name, ring_name, size, lhs, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(idn, "residual_report", record)
+    config = {"max_n": 3, "signs": "both", "extended": False}
+    for vid in idn.REGISTRY:
+        if vid.startswith(("capelli.", "decomplex.square.", "rect.",
+                           "css.capelli")):
+            assert all(r.residualIsZero for r in idn.REGISTRY[vid](config))
+    assert {"capelli.huks", "decomplex.square.antisymmetric", "rect.antisym",
+            "css.capelli.n1", "css.capelli.tcss"} <= set(sides)
+    ints = {(GaussIntWeyl, GaussIntWeyl)}
+    assert {name: s for name, s in sides.items() if s != ints} == {}

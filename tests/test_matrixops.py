@@ -6,14 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nc_capelli import identities as idn
 from nc_capelli import matrixops as mo
 from nc_capelli import pbw, weyl
 from nc_capelli.scalars import G_HALF, G_I, GaussianRational
-from nc_capelli.weyl import EXP_LIMIT, GeneratorSet, WeylElement
+from nc_capelli.weyl import EXP_LIMIT, GaussIntWeyl, GeneratorSet, WeylElement
 
 # Commuting parameters: generators of a Weyl ring whose derivatives never
 # occur.
@@ -195,6 +195,57 @@ def test_gauss_int_coldet_denominator():
     assert det.den == 6 * 20
     assert det.to_weyl() == mo.coldet_permutations(M) == WeylElement.one(
         _XY).scale(GaussianRational(Fraction(1, 10), Fraction(-1, 30)))
+
+
+@st.composite
+def _bare_polynomial(draw):
+    """A polynomial over x, y: up to three terms, values with
+    denominators in {1, 2, 3, 4, 6} and often an imaginary part."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = _XY.key([draw(_EXPONENT) for _ in "xy"], [0, 0])
+        value = GaussianRational(draw(_PART), draw(_PART))
+        if value:
+            terms[key] = value
+    return WeylElement(_XY, terms)
+
+
+_HALF_X = WeylElement(_XY, {_XY.key([1, 0], [0, 0]): GaussianRational(
+    Fraction(1, 2), Fraction(1, 3))})
+
+
+@given(_bare_matrix(), _bare_polynomial())
+# p = (1/2 + i/3) x lies over 6, and the determinant 1 acts on it as the
+# identity: fails if the action drops p's denominator
+@example(_constants([[(1,)]]), _HALF_X)
+@example(_constants([[(0, 1), (1,)], [(Fraction(1, 2),), (0,)]]), _HALF_X)
+@settings(max_examples=150, deadline=None)
+def test_gauss_int_coldet_action_matches_expanded(case, p):
+    """gauss_int_coldet(M, p), the determinant acting on p unexpanded,
+    equals the expanded determinant acting on p, for p over a
+    denominator above 1 and with imaginary parts, which no monomial
+    witness (over 1) has.  It lies over the product of the column scales
+    and p.den."""
+    M, at_limit = case
+    assume(not at_limit)
+    g = GaussIntWeyl.from_weyl(p)
+    det = mo.gauss_int_coldet(M)
+    got = mo.gauss_int_coldet(M, g)
+    assert got == det.apply(g)
+    assert got.den == det.den * g.den
+    assert got.to_weyl() == mo.coldet_permutations(M).apply(p)
+
+
+def test_gauss_int_coldet_action_refuses_another_generator_set():
+    """A polynomial over other generators raises ValueError; over an
+    equal set built apart it acts."""
+    M, _ = _constants([[(1,)]])
+    for names in (["y", "x"], ["x"]):
+        p = GaussIntWeyl(GeneratorSet(names), {1: 1}, {})
+        with pytest.raises(ValueError, match="different algebras"):
+            mo.gauss_int_coldet(M, p)
+    p = GaussIntWeyl(GeneratorSet(["x", "y"]), {1: 1}, {})
+    assert mo.gauss_int_coldet(M, p) == p
 
 
 class TestDecomplexify:

@@ -243,3 +243,28 @@ def test_classical_action_on_undefined_function(kind, shape):
         (ZDt + idn.shift_diag(ring, idn.capelli_shifts(2))).entries, symbols, f)
     assert sympy.expand(lhs - rhs) == 0
     assert sympy.expand(_act_coldet(ZDt.entries, symbols, f) - rhs) != 0
+
+
+@pytest.mark.slow
+def test_decomplexified_n2_action_on_undefined_function():
+    """decomplex.square.plain at n = 2, sign plus, acting on an undefined
+    f of all eight variables, as in
+    test_decomplexified_action_on_undefined_function: a complete check
+    that rests on no part of the Weyl kernel.  Negative control: the
+    correction with the wrong sign in its second block (plus, then minus)
+    changes the action.  Flipping every block gives the minus identity,
+    which holds too, and at n = 1 there is one block only."""
+    ring, gens, Z, D = idn.complex_weyl(2, "plain")
+    symbols = sympy.symbols(gens.names)
+    f = sympy.Function("f")(*symbols)
+    Dt = mo.transpose(D)
+    rhs = _act_coldet(mo.decomplexify(Z).entries, symbols, _act_coldet(
+        mo.decomplexify(Dt).entries, symbols, f))
+    assert rhs != 0
+    args = (mo.matmul(Z, Dt), mo.identity(ring, 2),
+            idn.embed(ring, idn.capelli_shifts(2)))
+    plus, minus = (idn.corrected_matrix(*args, sign).entries
+                   for sign in ("plus", "minus"))
+    assert sympy.expand(_act_coldet(plus, symbols, f) - rhs) == 0
+    assert sympy.expand(
+        _act_coldet(plus[:2] + minus[2:], symbols, f) - rhs) != 0
