@@ -161,8 +161,8 @@ def quaternion_commutation_check(n):
     ring, Z, D = quaternion_pair(n)
     Dt = mo.transpose(D).entries
     ok = all(
-        (commutator(Dt[r][s].scale(2), Z.entries[u][v])
-         - (ring.one if (u, v) == (r, s) else ring.zero)).is_zero()
+        commutator(Dt[r][s].scale(2), Z.entries[u][v])
+        == (ring.one if (u, v) == (r, s) else ring.zero)
         for u, v, r, s in product(range(2 * n), repeat=4))
     return bool_report(
         "cayley.quaternion-commutation", ring.name, {"n": n}, ok, t0,

@@ -200,7 +200,7 @@ def is_central(x):
     """True iff [x, e] = 0 for every basis generator e."""
     for name in x.parent.basis:
         g = x.parent.generator(name)
-        if not (x * g - g * x).is_zero():
+        if x * g != g * x:
             return False
     return True
 

@@ -17,9 +17,9 @@ algebra); the operands of ``+``, ``-``, ``*`` and ``apply`` share a
 parent, or the operation raises ``ValueError``.
 
 Equality of elements is decided *only* through canonical normal forms:
-for x and y of one parent, ``x == y`` exactly when ``(x - y).is_zero()``.
-There is no randomized equality anywhere; every residual check is a
-proof-grade check.
+for x and y of one parent, ``x == y`` exactly when ``(x - y).is_zero()``,
+so checks compare with ``==``.  There is no randomized equality
+anywhere; every residual check is a proof-grade check.
 """
 
 from __future__ import annotations

@@ -97,9 +97,10 @@ class GeneratorSet:
 
     def exponents(self, key):
         """(v, u): the x and d exponent tuples of a key."""
-        fields = tuple((key >> s) & FIELD_MASK
-                       for s in range(0, 2 * self.dshift, FIELD_BITS))
-        return fields[:self.n], fields[self.n:]
+        # a list, as tuple() of a generator parks resized tuples on a free list
+        fields = [(key >> s) & FIELD_MASK
+                  for s in range(0, 2 * self.dshift, FIELD_BITS)]
+        return tuple(fields[:self.n]), tuple(fields[self.n:])
 
     def __eq__(self, other):
         return isinstance(other, GeneratorSet) and self.names == other.names

@@ -176,12 +176,19 @@ MUTANTS = [
         ["tests/test_identities.py::test_cached_cauchy_binet_mixed_denominators"],
         120),
     Mutant(
-        "the operator-action oracle applies one side twice",
+        "the note compares one side with itself",
         "nc_capelli/identities.py",
-        "return all(lhs.apply(p) == rhs.apply(p)",
-        "return all(lhs.apply(p) == lhs.apply(p)",
+        "return low(lhs) == low(rhs)",
+        "return low(lhs) == low(lhs)",
         ["tests/test_negative_controls.py::test_operator_oracle_note_fails"],
         120),
+    Mutant(
+        "the note keeps derivative order <= 1",
+        "nc_capelli/identities.py",
+        "if sum(side.gens.exponents(k)[1]) <= 2}",
+        "if sum(side.gens.exponents(k)[1]) <= 1}",
+        ["tests/test_identities.py::"
+         "test_operator_oracle_reads_derivative_order_two"], 120),
     Mutant(
         "max for lcm in gauss_int_coldet's column scale",
         "nc_capelli/matrixops.py",

@@ -202,6 +202,111 @@ def test_classical_capelli_on_a_complete_witness_set(kind, shape, n, count):
     assert acts_alike(ZDt) == (n == 1)
 
 
+def _apply_based_note(lhs, rhs):
+    """The operator_oracle note by its definition, the reference: both
+    sides act alike on every monomial of total degree <= 2."""
+    return all(lhs.apply(p) == rhs.apply(p) for p in idn._monomials(lhs.gens, 2))
+
+
+_NOTE_GENS = [weyl.GeneratorSet("xyz"[:m]) for m in (1, 2, 3)]
+
+
+def _d_order_key(gens, draw, order):
+    """A key x^v d^u with |u| = order (at most 3)."""
+    v = draw(st.lists(st.integers(0, 3), min_size=gens.n, max_size=gens.n))
+    u = [0] * gens.n
+    for _ in range(order):
+        u[draw(st.integers(0, gens.n - 1))] += 1
+    return gens.key(v, u)
+
+
+def _plus_term(side, key, c, imaginary):
+    """side plus c*(i if imaginary)*key/side.den: a side that differs from
+    it at key alone."""
+    parts = [dict(part) for part in side.terms]
+    part = parts[imaginary]
+    part[key] = part.get(key, 0) + c
+    if not part[key]:
+        del part[key]
+    return GaussIntWeyl(side.gens, *parts, side.den)
+
+
+@st.composite
+def _note_sides(draw):
+    """(lhs, rhs, the note expected or None): unrelated sides, or one
+    value over two denominators, or that value with one term changed at
+    derivative order 0..3 (the note reads False up to order 2)."""
+    gens = draw(st.sampled_from(_NOTE_GENS))
+    exps = st.lists(st.integers(0, 3), min_size=gens.n, max_size=gens.n)
+    part = st.dictionaries(st.builds(gens.key, exps, exps),
+                           st.integers(-4, 4).filter(bool), max_size=5)
+    den = st.sampled_from((1, 2, 4))
+    lhs = GaussIntWeyl(gens, draw(part), draw(part), draw(den))
+    how = draw(st.sampled_from(("unrelated", "scaled", 0, 1, 2, 3)))
+    if how == "unrelated":
+        return lhs, GaussIntWeyl(gens, draw(part), draw(part), draw(den)), None
+    m = draw(den)
+    re, im = ({k: c * m for k, c in p.items()} for p in lhs.terms)
+    rhs = GaussIntWeyl(gens, re, im, lhs.den * m)
+    if how == "scaled":
+        return lhs, rhs, True
+    rhs = _plus_term(rhs, _d_order_key(gens, draw, how),
+                     draw(st.integers(-4, 4).filter(bool)), draw(st.booleans()))
+    return lhs, rhs, how > 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_note_sides())
+def test_operator_oracle_matches_apply_based_note(sides):
+    """The note read off the sides' terms agrees with their actions."""
+    lhs, rhs, expected = sides
+    note = idn.operator_action_oracle(lhs, rhs)
+    assert note == _apply_based_note(lhs, rhs)
+    assert expected is None or note == expected
+
+
+_X2 = weyl.GeneratorSet(["x", "y"])
+
+
+@pytest.mark.parametrize("u, imaginary, expected", [
+    ((1, 1), False, False), ((0, 2), True, False), ((2, 1), False, True),
+    ((0, 3), True, True)])
+def test_operator_oracle_reads_derivative_order_two(u, imaginary, expected):
+    """Sides that differ in one term, of derivative order 2 (the note
+    reads False) or 3 (True): x^b with |b| <= 2 tells the first apart
+    and no such x^b the second."""
+    lhs = GaussIntWeyl(_X2, {_X2.key((1, 0), (0, 1)): 3}, {0: 1}, 2)
+    rhs = _plus_term(lhs, _X2.key((1, 2), u), 5, imaginary)
+    assert idn.operator_action_oracle(lhs, rhs) is expected
+    assert _apply_based_note(lhs, rhs) is expected
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: idn.verify_classical_capelli("plain", 2),
+    lambda: idn.verify_decomplexified_capelli("plain", 2)],
+    ids=["capelli.plain n=2", "decomplex.square.plain n=2"])
+def test_operator_oracle_applies_no_operator(monkeypatch, verify):
+    """The note reads the sides alone: on the n = 2 sides it holds with
+    GaussIntWeyl.apply and apply_into raising."""
+    sides = []
+    real = idn.residual_report
+
+    def record(name, ring_name, size, lhs, rhs, *args, **kwargs):
+        sides.append((lhs, rhs))
+        return real(name, ring_name, size, lhs, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(idn, "residual_report", record)
+    assert verify().notes["operator_oracle"] is True
+
+    def refuse(*_):
+        raise AssertionError("the note applied an operator")
+
+    monkeypatch.setattr(GaussIntWeyl, "apply", refuse)
+    monkeypatch.setattr(GaussIntWeyl, "apply_into", refuse)
+    (lhs, rhs), = sides
+    assert idn.operator_action_oracle(lhs, rhs) is True
+
+
 class TestDecomplexified:
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_plain_n1(self, sign):
@@ -668,6 +773,16 @@ def test_sized_verifiers_refuse_n_below_one(name, n):
     least = 2 if name == "css.implications" else 1
     with pytest.raises(ValueError, match=f"n must be at least {least}, got {n}"):
         _SIZED[name](n)
+
+
+@pytest.mark.parametrize("truncate", [0, -1, 2, 5])
+def test_global_cancellation_refuses_truncate_outside_1_to_n_minus_1(truncate):
+    """At n = 2 only truncate 1 compares a proper prefix of the factors:
+    0, -1 and n once reported "truncated defect unexpectedly zero", and
+    n + 3 ended in IndexError."""
+    with pytest.raises(ValueError,
+                       match=f"truncate must be None or in 1..1, got {truncate}"):
+        idn.verify_holfact_general(2, truncate)
 
 
 def test_capelli_sides_reach_the_report_on_ints(monkeypatch):

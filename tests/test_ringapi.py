@@ -95,6 +95,20 @@ ENGINES = {
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equality_is_a_zero_difference(engine, data):
+    """x == y exactly when (x - y).is_zero(): the contract on which the
+    checks that compare with == rely, on drawn pairs and on pairs equal
+    but built two ways."""
+    x, y, z = (data.draw(ENGINES[engine]) for _ in range(3))
+    built = (x + z - z, y * z + x - y * z)
+    for a, b in [(x, y), *((w, x) for w in built)]:
+        assert (a == b) == (b == a) == (a - b).is_zero()
+    assert all(w == x for w in built)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @PROPERTY
 @given(data=st.data())
 def test_associative(engine, data):
